@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SandwichViolation
 from .orbits import iter_leaf_blocks, leaf_log_derivs, word_of
 from .parallel import run_jobs
-from .pressure import _lse_neg_t, dimension_pair
+from .pressure import dimension_pair, log_operator_sums
 from .sequences import (
     PerturbedSequence,
     SequenceSpec,
@@ -32,6 +32,7 @@ from .sequences import (
     delta_linear_bound,
     format_sequence,
 )
+from .transfer import logsumexp
 
 _FLOAT_SLACK = 1e-9
 
@@ -91,7 +92,7 @@ def sandwich_check(
     over all leaves.  A violation (beyond float slack) is an implementation
     bug and raises SandwichViolation naming the offending leaf.
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise ValueError("sandwich_check requires t > 0")
     pert = PerturbedSequence(base, schedule, x)
     rows = []
@@ -101,8 +102,8 @@ def sandwich_check(
         lds_pert, _ = leaf_log_derivs(pert, j, n, anchor)
         # signs entering fiber j are s_{j+1}, ..., s_{j+n}
         s_n = cesaro_sum(schedule, j + n)[0] - (cesaro_sum(schedule, j)[0] if j else 0)
-        a_base = _lse_neg_t(lds_base, t) / n
-        a_pert = _lse_neg_t(lds_pert, t) / n
+        a_base = logsumexp(lds_base * -t) / n
+        a_pert = logsumexp(lds_pert * -t) / n
         residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2.0
         rows.append(SandwichRow(n, s_n, a_base, a_pert, residual))
 
@@ -267,14 +268,15 @@ def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
+def _window_rows(seq, t, window, anchor, j) -> np.ndarray:
+    """a_n(t) for every n in the window, reduced serially."""
+    sums = log_operator_sums(seq, [t], window, j, anchor)[0][:, 0]
+    return sums / np.arange(window[0], window[1] + 1)
+
+
 def _kink_cell(args):
-    base, schedule, x, t, n_values, anchor, j = args
-    pert = PerturbedSequence(base, schedule, x)
-    a_pert = []
-    for n in n_values:
-        lds, _ = leaf_log_derivs(pert, j, n, anchor)
-        a_pert.append(_lse_neg_t(lds, t) / n)
-    return np.array(a_pert)
+    base, schedule, x, t, window, anchor, j = args
+    return _window_rows(PerturbedSequence(base, schedule, x), t, window, anchor, j)
 
 
 def kink_scan(
@@ -293,21 +295,19 @@ def kink_scan(
     row records the measured spread certificate
     p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).
     """
-    if t <= 0:
+    if not t > 0:  # also rejects NaN
         raise ValueError("kink_scan requires t > 0")
     grid = _check_symmetric(x_grid)
     w_lo, w_hi = int(window[0]), int(window[1])
     n_values = list(range(w_lo, w_hi + 1))
 
-    a_base = np.array(
-        [_lse_neg_t(leaf_log_derivs(base, j, n, anchor)[0], t) / n for n in n_values]
-    )
+    a_base = _window_rows(base, t, (w_lo, w_hi), anchor, j)
     base_lower, base_upper = float(a_base.min()), float(a_base.max())
     offset = cesaro_sum(schedule, j)[0] if j else 0
     ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in n_values])
     c_min, c_max = float(ratios.min()), float(ratios.max())
 
-    jobs = [(base, schedule, float(x), float(t), n_values, anchor, j) for x in grid]
+    jobs = [(base, schedule, float(x), float(t), (w_lo, w_hi), anchor, j) for x in grid]
     results = run_jobs(_kink_cell, jobs, workers)
 
     rows = []

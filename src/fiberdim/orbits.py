@@ -65,11 +65,16 @@ class TreeStats:
         self.leaf_log_max = max(self.leaf_log_max, float(lds.max()))
 
 
-def _validate(n: int, anchor: complex) -> None:
+def check_depth(n: int) -> None:
+    """Reject a negative depth or one above the configured cap."""
     if n < 0:
         raise ValueError("depth must be >= 0")
     if n > depth_limit():
         raise DepthLimit(f"depth {n} exceeds cap {depth_limit()} (set FIBERDIM_DEPTH_LIMIT)")
+
+
+def _validate(n: int, anchor: complex) -> None:
+    check_depth(n)
     if not in_trap_union(anchor):
         raise DomainError(f"anchor {anchor} lies outside the closed trapping disks")
 
@@ -165,6 +170,31 @@ def leaf_log_derivs(
     stats = TreeStats()
     parts = [lds for _, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric, stats)]
     return np.concatenate(parts), stats
+
+
+def subtrees(
+    seq: SequenceSpec,
+    j: int = 0,
+    n: int = 1,
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+) -> list[tuple[int, complex, float]]:
+    """Split the depth-n tree at its innermost levels into subtrees of <= 2**_BLOCK_LOG2 leaves.
+
+    Returns one (depth, root, log_deriv) per subtree: its leaves are the
+    depth-`depth` pullbacks of `root` at fiber j, and adding `log_deriv` to
+    their log-derivatives gives those of the full tree.  The roots are the
+    leaves of the innermost n - depth levels, i.e. of the depth-(n - depth)
+    tree at fiber j + depth, in its word order.  The split depends on n and
+    _BLOCK_LOG2 only.
+    """
+    _validate(n, anchor)
+    depth = min(n, _BLOCK_LOG2)
+    return [
+        (depth, complex(z), float(ld))
+        for _, pts, lds in iter_leaf_blocks(seq, j + depth, n - depth, anchor, metric)
+        for z, ld in zip(pts, lds)
+    ]
 
 
 def word_of(index: int, depth: int) -> str:

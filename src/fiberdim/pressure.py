@@ -7,6 +7,26 @@ and min of a_n over a window of depths; the unique zero of each windowed curve
 estimates the packing (upper) and Hausdorff (lower) dimension of the fiber
 Julia set.  Zeros are found by bisection from an analytic bracket, with the
 slope floor log(80/3) converting the residual tolerance into a t-uncertainty.
+
+Why anchor 1 is cheap: every f_l fixes 1 and sends -1 to 1, and
+|f_l'(+-1)| = |l| in both metrics (the spherical factor is 2/2 at +-1).  So
+the first inverse step from 1 lands exactly on +-1, and at fiber j
+
+    L^n 1(1) = |l_{j+n}|^{-t} * (L^{n-1} 1(1) + L^{n-1} 1(-1)),   L^0 1 = 1.
+
+With W_n the pullback of -1 to depth n - 1, every depth n <= n_max costs one
+tree W_n: 2**n_max leaves in all, where a separate depth-n tree from 1 per
+depth costs about 2**(n_max + 1).  The leaf extremes follow the same
+recurrence, min_n = log|l_{j+n}| + min(min_{n-1}, min W_n) from min_0 = 0.
+Any other anchor is reduced over its own depth-n trees.  The recurrence adds
+the same terms in another order than a direct depth-n sum, so a_n can differ
+from it in the last ulp.
+
+Every pressure curve and kink scan goes through log_operator_sums: each tree
+is split at its innermost levels into subtrees of at most 2**_BLOCK_LOG2
+leaves (orbits.subtrees), each subtree is one job reduced at every t with
+transfer.logsumexp, and jobs are combined with logaddexp in job order, so
+the result does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -18,18 +38,89 @@ import numpy as np
 
 from .errors import BracketFailure
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, leaf_log_derivs
+from .orbits import PLANAR, check_depth, iter_leaf_blocks, leaf_log_derivs, subtrees
 from .parallel import run_jobs
-from .sequences import SequenceSpec, format_sequence
+from .sequences import SequenceSpec, at, format_sequence
+from .transfer import logsumexp
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 
 
-def _lse_neg_t(lds: np.ndarray, t: float) -> float:
-    x = lds * (-t)
-    m = float(np.max(x))
-    return m + math.log(float(np.sum(np.exp(x - m))))
+class _Trees:
+    """The trees whose leaf sums give log L^n 1(anchor) at fiber j for n_lo <= n <= n_hi."""
+
+    def __init__(self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex):
+        n_lo, n_hi = int(n_range[0]), int(n_range[1])
+        if not 1 <= n_lo <= n_hi:
+            raise ValueError("need 1 <= n_min <= n_max")
+        check_depth(n_hi)
+        self.n_lo = n_lo
+        if complex(anchor) == 1:
+            self.roots = [(n - 1, -1.0 + 0.0j) for n in range(1, n_hi + 1)]
+            self.log_l = [math.log(abs(at(seq, j + n))) for n in range(1, n_hi + 1)]
+        else:
+            self.roots = [(n, complex(anchor)) for n in range(n_lo, n_hi + 1)]
+            self.log_l = None
+
+    def per_depth(self, values, combine, scale=1.0) -> np.ndarray:
+        """Per-depth values for n_lo..n_hi from per-tree ones.
+
+        From anchor 1 this is the recurrence v_n = combine(v_{n-1}, v(W_n))
+        + scale * log|l_{j+n}| from v_0 = 0, which is both log L^0 1 and the
+        depth-0 log-derivative.
+        """
+        if self.log_l is None:
+            return np.asarray(values)
+        acc, out = 0.0, []
+        for n, (value, step) in enumerate(zip(values, self.log_l), start=1):
+            acc = combine(acc, value) + scale * step
+            if n >= self.n_lo:
+                out.append(acc)
+        return np.array(out)
+
+
+def _subtree_sums(args):
+    """Log sums at every t, and leaf extremes, of one subtree shifted by its root's log-derivative."""
+    seq, j, depth, root, ld0, metric, t_grid = args
+    [(_, _, lds)] = iter_leaf_blocks(seq, j, depth, root, metric)  # depth <= block size
+    sums = np.array([logsumexp(lds * -t) for t in t_grid]) - np.asarray(t_grid) * ld0
+    return sums, float(lds.min()) + ld0, float(lds.max()) + ld0
+
+
+def log_operator_sums(
+    seq: SequenceSpec,
+    t_grid,
+    n_range: tuple[int, int],
+    j: int = 0,
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+    workers: int = 1,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log L^n 1(anchor) at fiber j for every n in n_range (inclusive) and t in t_grid.
+
+    Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
+    one column per t; the extremes are those of the depth-n leaf log-derivatives.
+    """
+    trees = _Trees(seq, j, n_range, anchor)
+    t_grid = tuple(float(t) for t in t_grid)
+    jobs, owners = [], []
+    for i, (depth, root) in enumerate(trees.roots):
+        for sub_depth, sub_root, ld0 in subtrees(seq, j, depth, root, metric):
+            jobs.append((seq, j, sub_depth, sub_root, ld0, metric, t_grid))
+            owners.append(i)
+    sums = np.full((len(trees.roots), len(t_grid)), -np.inf)
+    lo = np.full(len(trees.roots), np.inf)
+    hi = np.full(len(trees.roots), -np.inf)
+    for i, (s, a, b) in zip(owners, run_jobs(_subtree_sums, jobs, workers)):
+        sums[i] = np.logaddexp(sums[i], s)
+        lo[i] = min(lo[i], a)
+        hi[i] = max(hi[i], b)
+    return (
+        trees.per_depth(sums, np.logaddexp, -np.asarray(t_grid)),
+        trees.per_depth(lo, min),
+        trees.per_depth(hi, max),
+    )
 
 
 @dataclass(frozen=True)
@@ -56,13 +147,6 @@ def default_window(n_min: int, n_max: int) -> tuple[int, int]:
     return max(n_min, n_max // 2), n_max
 
 
-def _curve_row(args):
-    seq, j, n, t_grid, anchor, metric = args
-    lds, stats = leaf_log_derivs(seq, j, n, anchor, metric)
-    row = np.array([_lse_neg_t(lds, t) / n for t in t_grid])
-    return row, stats.leaf_log_min, stats.leaf_log_max
-
-
 def pressure_curve(
     seq: SequenceSpec,
     t_grid,
@@ -74,21 +158,27 @@ def pressure_curve(
     workers: int = 1,
 ) -> PressureCurve:
     """a_n(t) for every n in n_range (inclusive) and t in the sorted grid."""
-    t_grid = np.asarray(sorted(float(t) for t in t_grid))
-    if t_grid.size and t_grid[0] < 0:
+    t_values = [float(t) for t in t_grid]
+    if not t_values:
+        raise ValueError("t grid is empty")
+    if not all(math.isfinite(t) for t in t_values):
+        raise ValueError("t grid must be finite")
+    t_grid = np.asarray(sorted(t_values))
+    if t_grid[0] < 0:
         raise ValueError("t grid must be nonnegative")
     n_min, n_max = int(n_range[0]), int(n_range[1])
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
-    n_values = np.arange(n_min, n_max + 1)
-    jobs = [(seq, j, int(n), tuple(t_grid), anchor, metric) for n in n_values]
-    results = run_jobs(_curve_row, jobs, workers)
-    values = np.array([row for row, _, _ in results])
     if window is None:
         window = default_window(n_min, n_max)
     w_lo, w_hi = window
     if not (n_min <= w_lo <= w_hi <= n_max):
         raise ValueError(f"window {window} not contained in n range [{n_min}, {n_max}]")
+    n_values = np.arange(n_min, n_max + 1)
+    sums, leaf_min, leaf_max = log_operator_sums(
+        seq, t_grid, (n_min, n_max), j, anchor, metric, workers
+    )
+    values = sums / n_values[:, None]
     mask = (n_values >= w_lo) & (n_values <= w_hi)
     return PressureCurve(
         seq_id=format_sequence(seq),
@@ -100,8 +190,8 @@ def pressure_curve(
         window=(w_lo, w_hi),
         lower=values[mask].min(axis=0),
         upper=values[mask].max(axis=0),
-        leaf_log_min=np.array([lo for _, lo, _ in results]),
-        leaf_log_max=np.array([hi for _, _, hi in results]),
+        leaf_log_min=leaf_min,
+        leaf_log_max=leaf_max,
     )
 
 
@@ -119,32 +209,33 @@ class BowenZero:
 
 
 class _WindowPressure:
-    """Cached leaf data for one window of depths; evaluates min/max of a_n(t)."""
+    """Cached leaf log-derivatives for one window of depths; evaluates a_n(t) on it."""
 
     def __init__(self, seq, window, j, anchor, metric):
         w_lo, w_hi = int(window[0]), int(window[1])
-        if not 1 <= w_lo <= w_hi:
-            raise ValueError(f"bad window {window}")
-        self.n_values = list(range(w_lo, w_hi + 1))
+        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
+        self.n_values = np.arange(w_lo, w_hi + 1)
         self.lds = []
-        self.stats = []
-        for n in self.n_values:
-            lds, stats = leaf_log_derivs(seq, j, n, anchor, metric)
+        mins, maxs = [], []
+        for depth, root in self.trees.roots:
+            lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
             self.lds.append(lds)
-            self.stats.append(stats)
+            mins.append(stats.leaf_log_min)
+            maxs.append(stats.leaf_log_max)
+        self.leaf_log_min = self.trees.per_depth(mins, min)
+        self.leaf_log_max = self.trees.per_depth(maxs, max)
         self.evaluations = 0
 
     def rows(self, t: float) -> np.ndarray:
         self.evaluations += 1
-        return np.array(
-            [_lse_neg_t(lds, t) / n for n, lds in zip(self.n_values, self.lds)]
-        )
+        sums = [logsumexp(lds * -t) for lds in self.lds]
+        return self.trees.per_depth(sums, np.logaddexp, -t) / self.n_values
 
     def bracket(self) -> tuple[float, float]:
         # a_n is >= log2 - t*maxL/n and <= log2 - t*minL/n, so every row is
         # nonnegative left of n log2 / maxL and nonpositive right of n log2 / minL.
-        left = min(n * LOG2 / s.leaf_log_max for n, s in zip(self.n_values, self.stats))
-        right = max(n * LOG2 / s.leaf_log_min for n, s in zip(self.n_values, self.stats))
+        left = float(np.min(self.n_values * LOG2 / self.leaf_log_max))
+        right = float(np.max(self.n_values * LOG2 / self.leaf_log_min))
         return left, right
 
 
@@ -167,7 +258,7 @@ def bowen_zero(
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be > 0")
     if isinstance(window, int):
         window = (window, window)

@@ -11,6 +11,7 @@ can be shared freely between concurrent workers.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -23,6 +24,8 @@ MIN_MODULUS = 40.0
 
 
 def _check_modulus(value: complex, what: str) -> None:
+    if not cmath.isfinite(value):
+        raise InvalidSpec(f"{what} {value} is not finite")
     if abs(value) <= MIN_MODULUS:
         raise InvalidSpec(f"{what} has modulus {abs(value):.6g} <= {MIN_MODULUS:g}")
 
@@ -78,6 +81,10 @@ class RandomAnnulus:
     max_mod: float = 80.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.min_mod) and math.isfinite(self.max_mod)):
+            raise InvalidSpec(
+                f"random annulus bounds must be finite, got [{self.min_mod:g}, {self.max_mod:g}]"
+            )
         if not (MIN_MODULUS < self.min_mod <= self.max_mod):
             raise InvalidSpec(
                 f"random annulus needs {MIN_MODULUS:g} < min_mod <= max_mod, "
@@ -190,6 +197,8 @@ class PerturbedSequence:
     x: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.x):
+            raise InvalidSpec(f"perturbation x = {self.x} is not finite")
         r = max_perturbation(self.base)
         if abs(self.x) >= r:
             raise PerturbationTooLarge(

@@ -34,6 +34,7 @@ from fiberdim import (
     sandwich_check,
     trapping_certificate,
 )
+from fiberdim import orbits
 from fiberdim.cli import main as cli_main
 
 LOG2 = math.log(2.0)
@@ -202,29 +203,36 @@ def test_c09_spread_certificate_and_gap_growth():
     )
 
 
-def test_c10_byte_identical_across_workers(tmp_path):
-    outputs = {}
-    for workers in (1, 2, 8):
-        p_out = tmp_path / f"pressure{workers}.csv"
-        k_out = tmp_path / f"kink{workers}.csv"
-        g_out = tmp_path / f"gap{workers}.csv"
-        assert cli_main([
-            "pressure", "--seq", "const:50", "--t", "0:0.4:11", "--n", "2:14",
-            "--workers", str(workers), "-o", str(p_out),
-        ]) == 0
-        assert cli_main([
-            "perturb", "--base", "const:50", "--blocks", "2x2", "--x=-0.1:0.1:5",
-            "--t", "0.18", "--window", "2:14", "--workers", str(workers),
-            "-o", str(k_out),
-        ]) == 0
-        assert cli_main([
-            "perturb", "--base", "const:50", "--mode", "gap", "--x=-0.05:0.05:3",
-            "--window", "6:10", "--tol", "1e-3", "--workers", str(workers),
-            "-o", str(g_out),
-        ]) == 0
-        outputs[workers] = (p_out.read_bytes(), k_out.read_bytes(), g_out.read_bytes())
-    assert outputs[1] == outputs[2] == outputs[8]
-    _report(10, "pressure and perturb (kink and gap) CSV bytes identical for workers 1, 2, 8")
+def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
+    # A block of 2^4 leaves splits every tree deeper than 4 into several subtree jobs.
+    for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
+        monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
+        outputs = []
+        for workers in worker_counts:
+            p_out = tmp_path / f"pressure{workers}.csv"
+            k_out = tmp_path / f"kink{workers}.csv"
+            g_out = tmp_path / f"gap{workers}.csv"
+            assert cli_main([
+                "pressure", "--seq", "const:50", "--t", "0:0.4:11", "--n", "2:14",
+                "--workers", str(workers), "-o", str(p_out),
+            ]) == 0
+            assert cli_main([
+                "perturb", "--base", "const:50", "--blocks", "2x2", "--x=-0.1:0.1:5",
+                "--t", "0.18", "--window", "2:14", "--workers", str(workers),
+                "-o", str(k_out),
+            ]) == 0
+            assert cli_main([
+                "perturb", "--base", "const:50", "--mode", "gap", "--x=-0.05:0.05:3",
+                "--window", "6:10", "--tol", "1e-3", "--workers", str(workers),
+                "-o", str(g_out),
+            ]) == 0
+            outputs.append((p_out.read_bytes(), k_out.read_bytes(), g_out.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
+    _report(
+        10,
+        "pressure and perturb (kink and gap) CSV bytes identical for workers 1, 2, 8, "
+        "and for workers 1, 2, 3 with trees split into 2^4-leaf subtrees",
+    )
 
 
 def test_c11_metric_robustness():

@@ -1,5 +1,6 @@
 import math
 
+from fiberdim import orbits
 from fiberdim.cli import main
 
 
@@ -31,14 +32,19 @@ def test_pressure_zero_column(tmp_path):
     assert all(abs(v - math.log(2)) <= 1e-12 for v in zero_rows)
 
 
-def test_pressure_deterministic_across_workers(tmp_path):
-    blobs = []
-    for workers in (1, 2, 8):
-        out = tmp_path / f"p{workers}.csv"
-        assert run(["pressure", "--seq", "periodic:50,60+10i", "--t", "0:0.3:7",
-                    "--n", "2:9", "--workers", str(workers), "-o", str(out)]) == 0
-        blobs.append(read(out))
-    assert blobs[0] == blobs[1] == blobs[2]
+def test_pressure_deterministic_across_workers(tmp_path, monkeypatch):
+    # A block of 2^3 leaves splits every tree deeper than 3 into several subtree jobs.
+    for block_log2, worker_counts in ((18, (1, 2, 8)), (3, (1, 2, 3))):
+        monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
+        for anchor in ("1", "-1.05+0.1i"):
+            blobs = []
+            for workers in worker_counts:
+                out = tmp_path / f"p{workers}.csv"
+                assert run(["pressure", "--seq", "periodic:50,60+10i", "--t", "0:0.3:7",
+                            "--n", "2:9", f"--anchor={anchor}", "--workers", str(workers),
+                            "-o", str(out)]) == 0
+                blobs.append(read(out))
+            assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_perturb_deterministic_across_workers(tmp_path):
@@ -117,6 +123,16 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["nonsense"]) == 2
     capsys.readouterr()
+    # non-finite parameters and empty or non-finite t grids
+    for args in (
+        ["julia", "--seq", "const:nan", "--depth", "2"],
+        ["julia", "--seq", "const:1e400", "--depth", "2"],
+        ["julia", "--seq", "random:seed=1,min=45,max=inf", "--depth", "2"],
+        ["pressure", "--seq", "const:50", "--t", "nan:1:3", "--n", "2:4"],
+        ["pressure", "--seq", "const:50", "--t", "0:0.4:0", "--n", "2:4"],
+    ):
+        assert run(args) == 2, args
+        assert "error:" in capsys.readouterr().err
 
 
 def test_depth_cap_respects_env(tmp_path, monkeypatch, capsys):

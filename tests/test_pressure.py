@@ -8,13 +8,18 @@ from fiberdim import (
     BracketFailure,
     Constant,
     Periodic,
+    RandomAnnulus,
     bowen_zero,
     default_window,
     dimension_pair,
+    leaf_log_derivs,
+    operator_power,
     pressure_curve,
     write_pressure_csv,
     write_roots_csv,
 )
+from fiberdim import orbits
+from fiberdim.pressure import _WindowPressure
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -47,6 +52,40 @@ def test_slope_bracket_exact():
         hi = -dt * curve.leaf_log_min[i] / n
         assert bool((diff >= lo - 1e-12).all())
         assert bool((diff <= hi + 1e-12).all())
+
+
+@pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("j", [0, 3])
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
+    # Subtrees of 2^3 leaves: every tree deeper than 3 is split into several jobs.
+    # From anchor 1 the depths also come from the top-step recurrence over W_n.
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
+    t_grid = np.linspace(0.0, 0.4, 5)
+    curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
+    stats = {}
+    for i, n in enumerate(curve.n_values.tolist()):
+        direct = operator_power(seq, j, n, t_grid, anchor, metric)
+        want = np.array([v.log_value for v in direct]) / n
+        assert np.abs(curve.values[i] - want).max() <= 1e-13
+        stats[n] = leaf_log_derivs(seq, j, n, anchor, metric)[1]
+        assert abs(curve.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
+        assert abs(curve.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
+
+    window = _WindowPressure(seq, (6, 10), j, anchor, metric)
+    depths = range(6, 11)
+    for i, n in enumerate(depths):
+        assert abs(window.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
+        assert abs(window.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
+    t = 0.23
+    want_rows = [operator_power(seq, j, n, [t], anchor, metric)[0].log_value / n for n in depths]
+    assert np.abs(window.rows(t) - want_rows).max() <= 1e-13
+    want_bracket = (
+        min(n * LOG2 / stats[n].leaf_log_max for n in depths),
+        max(n * LOG2 / stats[n].leaf_log_min for n in depths),
+    )
+    assert window.bracket() == pytest.approx(want_bracket, rel=1e-12, abs=0)
 
 
 def test_default_window():
@@ -131,6 +170,12 @@ def test_validation_errors():
         pressure_curve(CONST50, [0.1], (5, 2))
     with pytest.raises(ValueError):
         pressure_curve(CONST50, [0.1], (2, 8), window=(1, 8))
+    with pytest.raises(ValueError):
+        pressure_curve(CONST50, [], (2, 5))
+    with pytest.raises(ValueError):
+        pressure_curve(CONST50, [0.1, math.nan], (2, 5))
+    with pytest.raises(ValueError):
+        pressure_curve(CONST50, [0.1, math.inf], (2, 5))
     with pytest.raises(ValueError):
         bowen_zero(CONST50, "middle", (4, 8))
     with pytest.raises(ValueError):

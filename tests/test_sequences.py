@@ -123,6 +123,22 @@ def test_invalid_specs_rejected():
         SignSchedule(2, 1, 1)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "const:nan",
+        "const:1e400",  # parses to inf
+        "periodic:50,nan+1i",
+        "explicit:50;tail=-1e400",
+        "random:seed=1,min=45,max=inf",
+        "perturb:base=const:50;blocks=2x2;x=nan",
+    ],
+)
+def test_non_finite_specs_rejected(text):
+    with pytest.raises(InvalidSpec):
+        parse_sequence(text)
+
+
 def test_perturbation_radius():
     assert max_perturbation(Constant(50)) == pytest.approx(math.log(1.25))
     with pytest.raises(PerturbationTooLarge):
