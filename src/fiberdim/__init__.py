@@ -30,7 +30,6 @@ from .experiments import (
     gap_scan,
     kink_scan,
     motion_speed_check,
-    perturbation_report,
     sandwich_check,
 )
 from .family import (
@@ -41,14 +40,12 @@ from .family import (
     CertificateReport,
     apply,
     derivative,
-    disk_label,
     in_trap_union,
     inverse_branch,
     spherical_derivative,
     trapping_certificate,
 )
 from .orbits import (
-    CylinderLeaf,
     JuliaCloud,
     RoundTripReport,
     TreeStats,
@@ -57,8 +54,6 @@ from .orbits import (
     iter_leaf_blocks,
     julia_cloud,
     leaf_log_derivs,
-    motion_pair,
-    pullback_leaves,
     resolution_bound,
     roundtrip_check,
     word_of,
@@ -98,11 +93,8 @@ from .transfer import (
     change_of_variables_check,
     conformal_atoms,
     logsumexp,
-    measure_ball,
     operator_power,
     rho_estimate,
-    write_atoms_csv,
-    write_operator_csv,
 )
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ windowed pressure envelopes and the dimension pair spread out as |x| grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,8 +56,6 @@ class PerturbationReport:
     delta_linear_bound: float
     rows: tuple[SandwichRow, ...]
     leaf_slack_max: float  # max over leaves/depths of |dlog - x S_n| - n|x|/2
-    dimension_pairs: dict[tuple[int, int], tuple[float, float]] | None = None
-    max_motion_displacement: float | None = None
 
     def passed(self, slack: float = _FLOAT_SLACK) -> bool:
         return (
@@ -92,8 +90,8 @@ def sandwich_check(
     over all leaves.  A violation (beyond float slack) is an implementation
     bug and raises SandwichViolation naming the offending leaf.
     """
-    if not t > 0:  # also rejects NaN
-        raise ValueError("sandwich_check requires t > 0")
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise ValueError("sandwich_check requires a finite t > 0")
     pert = PerturbedSequence(base, schedule, x)
     rows = []
     leaf_slack_max = -math.inf
@@ -127,37 +125,6 @@ def sandwich_check(
         delta_linear_bound=delta_linear_bound(x),
         rows=tuple(rows),
         leaf_slack_max=leaf_slack_max,
-    )
-
-
-def perturbation_report(
-    base: SequenceSpec,
-    schedule: SignSchedule,
-    x: float,
-    t: float,
-    n_max: int,
-    windows: tuple[tuple[int, int], ...] = ((10, 20),),
-    motion_depth: int | None = None,
-    tol: float = 1e-4,
-    anchor: complex = 1.0 + 0.0j,
-    j: int = 0,
-) -> PerturbationReport:
-    """Complete record of one perturbation experiment.
-
-    Combines the per-depth sandwich rows with dimension pairs at the requested
-    windows and the maximal leaf displacement of the motion.
-    """
-    report = sandwich_check(base, schedule, x, t, n_max, anchor, j)
-    pert = PerturbedSequence(base, schedule, x)
-    pairs = {}
-    for window in windows:
-        lower, upper = dimension_pair(pert, window, tol, j, anchor)
-        pairs[(int(window[0]), int(window[1]))] = (lower.t_star, upper.t_star)
-    motion = motion_speed_check(base, schedule, x, motion_depth or n_max, anchor, j)
-    return replace(
-        report,
-        dimension_pairs=pairs,
-        max_motion_displacement=motion.max_displacement,
     )
 
 
@@ -263,6 +230,8 @@ class KinkScan:
 
 def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
     grid = np.asarray(sorted(float(x) for x in x_grid))
+    if grid.size == 0:
+        raise ValueError("x grid is empty")
     if not np.allclose(grid, -grid[::-1], atol=1e-12):
         raise ValueError("x grid must be symmetric around 0")
     return grid
@@ -295,8 +264,8 @@ def kink_scan(
     row records the measured spread certificate
     p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).
     """
-    if not t > 0:  # also rejects NaN
-        raise ValueError("kink_scan requires t > 0")
+    if not 0 < t < math.inf:  # also rejects NaN
+        raise ValueError("kink_scan requires a finite t > 0")
     grid = _check_symmetric(x_grid)
     w_lo, w_hi = int(window[0]), int(window[1])
     n_values = list(range(w_lo, w_hi + 1))

@@ -64,11 +64,6 @@ def in_trap_union(z, closed: bool = True) -> bool:
     return bool(cmp(abs(z - CENTER_0), TRAP_RADIUS) or cmp(abs(z - CENTER_1), TRAP_RADIUS))
 
 
-def disk_label(z) -> int:
-    """0 if z is nearer +1, 1 if nearer -1."""
-    return 0 if abs(z - CENTER_0) <= abs(z - CENTER_1) else 1
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of the backward-invariance check for a single parameter."""

@@ -9,7 +9,7 @@ of a leaf is its word read as a binary number.
 
 The traversal works level by level on numpy arrays, stacking the new branch
 bit as the most significant index bit.  Deep trees are streamed in blocks of
-at most 2**block_log2 leaves (word-order preserved) so memory stays bounded
+at most 2**_BLOCK_LOG2 leaves (word-order preserved) so memory stays bounded
 regardless of depth.  Accumulated log-derivatives are carried along exactly:
 log_deriv(leaf) = sum over forward steps of log|l_k z_k| (planar metric) or
 the spherically rescaled step sizes (metric="spherical").
@@ -88,23 +88,13 @@ def _step_logs(l: complex, children: np.ndarray, parents: np.ndarray, metric: st
     return steps
 
 
-def _apply_both(l, pts, lds, metric, stats, verify):
-    root = np.sqrt(1.0 + 2.0 * (pts - 1.0) / l)
-    steps = _step_logs(l, root, pts, metric)
-    if stats is not None:
-        stats._update_steps(steps)
-        if verify:
-            resid = np.abs(apply(l, root) - pts)
-            stats.edge_residual_max = max(stats.edge_residual_max, float(resid.max()))
-    new_pts = np.concatenate([root, -root])
-    new_lds = np.tile(lds, 2) + np.tile(steps, 2)
-    return new_pts, new_lds
+def _inverse_step(l, pts, lds, metric, stats, verify):
+    """Branch-0 preimages of pts under f_l, with lds plus their one-step log-derivatives.
 
-
-def _apply_one(l, bit, pts, lds, metric, stats, verify):
+    The branch-1 preimages are their negatives, with the same log-derivatives
+    since |-r| = |r|.
+    """
     root = np.sqrt(1.0 + 2.0 * (pts - 1.0) / l)
-    if bit:
-        root = -root
     steps = _step_logs(l, root, pts, metric)
     if stats is not None:
         stats._update_steps(steps)
@@ -121,7 +111,6 @@ def iter_leaf_blocks(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
     stats: TreeStats | None = None,
-    block_log2: int = _BLOCK_LOG2,
     verify_edges: bool = False,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start_index, points, log_derivs) blocks covering all 2**n leaves.
@@ -138,9 +127,10 @@ def iter_leaf_blocks(
     if n == 0:
         yield 0, pts, lds
         return
-    prefix_bits = max(0, n - block_log2)
+    prefix_bits = max(0, n - _BLOCK_LOG2)
     for m in range(n - 1, prefix_bits - 1, -1):
-        pts, lds = _apply_both(params[m], pts, lds, metric, stats, verify_edges)
+        pts, lds = _inverse_step(params[m], pts, lds, metric, stats, verify_edges)
+        pts, lds = np.concatenate([pts, -pts]), np.tile(lds, 2)
     if prefix_bits == 0:
         if stats is not None:
             stats._update_leaves(lds)
@@ -150,10 +140,11 @@ def iter_leaf_blocks(
     for prefix in range(1 << prefix_bits):
         block_pts, block_lds = pts, lds
         for m in range(prefix_bits - 1, -1, -1):
-            bit = (prefix >> (prefix_bits - 1 - m)) & 1
-            block_pts, block_lds = _apply_one(
-                params[m], bit, block_pts, block_lds, metric, stats, verify_edges
+            block_pts, block_lds = _inverse_step(
+                params[m], block_pts, block_lds, metric, stats, verify_edges
             )
+            if (prefix >> (prefix_bits - 1 - m)) & 1:
+                block_pts = -block_pts
         if stats is not None:
             stats._update_leaves(block_lds)
         yield prefix * size, block_pts, block_lds
@@ -166,10 +157,16 @@ def leaf_log_derivs(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
 ) -> tuple[np.ndarray, TreeStats]:
-    """Materialize the 2**n accumulated log-derivatives in word order."""
+    """Materialize the 2**n accumulated log-derivatives in word order.
+
+    Blocks are written into one preallocated array, so the tree is held once
+    rather than as blocks plus their concatenation.
+    """
     stats = TreeStats()
-    parts = [lds for _, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric, stats)]
-    return np.concatenate(parts), stats
+    out = np.empty(1 << n)
+    for start, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric, stats):
+        out[start : start + lds.size] = lds
+    return out, stats
 
 
 def subtrees(
@@ -200,30 +197,6 @@ def subtrees(
 def word_of(index: int, depth: int) -> str:
     """Branch word of the leaf at a given word-order index."""
     return format(index, f"0{depth}b") if depth > 0 else ""
-
-
-@dataclass(frozen=True)
-class CylinderLeaf:
-    """One depth-n preimage of the anchor with its word and log-derivative."""
-
-    word: str
-    point: complex
-    log_deriv: float
-    fiber: int
-    depth: int
-
-
-def pullback_leaves(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> Iterator[CylinderLeaf]:
-    """Stream all 2**n leaves as CylinderLeaf records, lexicographic word order."""
-    for start, pts, lds in iter_leaf_blocks(seq, j, n, anchor, metric):
-        for i in range(pts.size):
-            yield CylinderLeaf(word_of(start + i, n), complex(pts[i]), float(lds[i]), j, n)
 
 
 def resolution_bound(seq: SequenceSpec, depth: int, j: int = 0) -> float:
@@ -280,35 +253,6 @@ def julia_cloud(
         resolution=resolution_bound(seq, depth, j),
         stats=stats,
     )
-
-
-def motion_pair(
-    word: str,
-    base: SequenceSpec,
-    perturbed: SequenceSpec,
-    j: int = 0,
-    anchor: complex = 1.0 + 0.0j,
-) -> tuple[complex, complex]:
-    """Pull the anchor back along the same word under both sequences.
-
-    With anchor 1 (fixed by every family member) the pair realizes the
-    holomorphic motion between the two fiber Julia sets, restricted to the
-    leaf coded by `word`.
-    """
-    n = len(word)
-    _validate(n, anchor)
-    if any(b not in "01" for b in word):
-        raise ValueError(f"word must be over {{0,1}}: {word!r}")
-
-    def pull(seq: SequenceSpec) -> complex:
-        z = complex(anchor)
-        for k in range(n, 0, -1):
-            l = at(seq, j + k)
-            root = complex(np.sqrt(complex(1.0 + 2.0 * (z - 1.0) / l)))
-            z = -root if word[k - 1] == "1" else root
-        return z
-
-    return pull(base), pull(perturbed)
 
 
 @dataclass(frozen=True)

@@ -258,8 +258,8 @@ def bowen_zero(
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
-    if not tol > 0:  # also rejects NaN
-        raise ValueError("tol must be > 0")
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tol must be finite and > 0")
     if isinstance(window, int):
         window = (window, window)
     wp = _cache if _cache is not None else _WindowPressure(seq, window, j, anchor, metric)

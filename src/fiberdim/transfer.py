@@ -4,8 +4,9 @@ The weighted pullback operator at exponent t >= 0 sums |f'|^{-t} over
 preimages; its n-th power evaluated on the constant function 1 is a sum of
 exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 |l|^{-t n} (50**-20 underflows float64), so every sum is carried in log
-domain with a streaming log-sum-exp whose reduction order is fixed by the
-word-order block stream: results do not depend on how work is scheduled.
+domain: one logsumexp per leaf block, folded with logaddexp in the fixed
+word order of the block stream, so results do not depend on how work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import apply, derivative
-from .orbits import PLANAR, TreeStats, iter_leaf_blocks, word_of
+from .family import derivative
+from .orbits import PLANAR, iter_leaf_blocks, julia_cloud
 from .sequences import SequenceSpec, at
 
 
@@ -24,28 +25,6 @@ def logsumexp(values: np.ndarray) -> float:
     """log(sum(exp(values))) of a 1-D array, max-shifted for stability."""
     m = float(np.max(values))
     return m + math.log(float(np.sum(np.exp(values - m))))
-
-
-class _StreamLse:
-    """Streaming log-sum-exp; combine order is the (fixed) block arrival order."""
-
-    __slots__ = ("shift", "total")
-
-    def __init__(self):
-        self.shift = -math.inf
-        self.total = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        m = float(np.max(values))
-        s = float(np.sum(np.exp(values - m)))
-        if m > self.shift:
-            self.total = self.total * math.exp(self.shift - m) + s
-            self.shift = m
-        else:
-            self.total += s * math.exp(m - self.shift)
-
-    def value(self) -> float:
-        return self.shift + math.log(self.total)
 
 
 @dataclass(frozen=True)
@@ -66,20 +45,20 @@ def operator_power(
     t_grid,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-    stats: TreeStats | None = None,
 ) -> list[OperatorValue]:
     """log L^n 1(anchor) for every t in t_grid, in one pass over the leaf blocks.
 
-    At t = 0 the operator counts preimages, so log_value is exactly n log 2.
+    Each block is reduced with logsumexp and the blocks are folded with
+    logaddexp in word order.  At t = 0 the operator counts preimages, so
+    log_value is exactly n log 2.
     """
     t_grid = [float(t) for t in t_grid]
     if any(t < 0 for t in t_grid):
         raise ValueError("exponents t must be >= 0")
-    sums = [_StreamLse() for _ in t_grid]
-    for _, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric, stats):
-        for t, acc in zip(t_grid, sums):
-            acc.add(lds * (-t))
-    return [OperatorValue(t, j, n, acc.value(), complex(anchor)) for t, acc in zip(t_grid, sums)]
+    sums = np.full(len(t_grid), -np.inf)
+    for _, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric):
+        sums = np.logaddexp(sums, [logsumexp(lds * -t) for t in t_grid])
+    return [OperatorValue(t, j, n, float(s), complex(anchor)) for t, s in zip(t_grid, sums)]
 
 
 @dataclass(frozen=True)
@@ -128,13 +107,6 @@ class ConformalAtoms:
     anchor: complex
     log_operator_sum: float  # log L^{N-j} 1(anchor); the normalizer is its reciprocal
 
-    @property
-    def depth(self) -> int:
-        return self.N - self.j
-
-    def word(self, index: int) -> str:
-        return word_of(index, self.depth)
-
 
 def conformal_atoms(
     seq: SequenceSpec,
@@ -148,28 +120,15 @@ def conformal_atoms(
     depth = N - j
     if depth < 1:
         raise ValueError("conformal_atoms requires N > j")
-    pts_parts = []
-    lds_parts = []
-    for _, pts, lds in iter_leaf_blocks(seq, j, depth, anchor, metric):
-        pts_parts.append(pts)
-        lds_parts.append(lds)
-    points = np.concatenate(pts_parts)
-    lds = np.concatenate(lds_parts)
+    cloud = julia_cloud(seq, depth, anchor, j, metric)
+    lds = cloud.log_derivs
     log_mass = logsumexp(lds * (-float(t)))
     weights = np.exp(lds * (-float(t)) - log_mass)
     weights /= weights.sum()  # kill the residual of the shifted exponentials
     return ConformalAtoms(
-        t=float(t), j=j, N=N, points=points, weights=weights, log_derivs=lds,
+        t=float(t), j=j, N=N, points=cloud.points, weights=weights, log_derivs=lds,
         anchor=complex(anchor), log_operator_sum=log_mass,
     )
-
-
-def measure_ball(m: ConformalAtoms, center: complex, radius: float) -> float:
-    """Total weight of atoms in the closed disk of the given center and radius."""
-    if radius <= 0:
-        raise ValueError("radius must be > 0")
-    inside = np.abs(m.points - center) <= radius
-    return float(m.weights[inside].sum())
 
 
 def change_of_variables_check(
@@ -205,27 +164,3 @@ def change_of_variables_check(
     gap = np.log(atoms_j.weights) - predicted_log
     gap -= gap.mean()  # best global constant in log space
     return float(np.expm1(np.max(np.abs(gap))))
-
-
-def pushforward_index_check(atoms_j: ConformalAtoms, atoms_next: ConformalAtoms, seq) -> float:
-    """max |f(atom_j) - matched atom_{j+1}|; confirms the drop-first-bit pairing."""
-    half = atoms_next.points.size
-    parent_index = np.arange(atoms_j.points.size) % half
-    l_first = at(seq, atoms_j.j + 1)
-    images = apply(l_first, atoms_j.points)
-    return float(np.abs(images - atoms_next.points[parent_index]).max())
-
-
-def write_atoms_csv(m: ConformalAtoms, stream) -> None:
-    """Rows `word,re,im,weight` in word order."""
-    stream.write("word,re,im,weight\n")
-    for i in range(m.points.size):
-        z = m.points[i]
-        stream.write(f"{m.word(i)},{z.real:.17g},{z.imag:.17g},{m.weights[i]:.17g}\n")
-
-
-def write_operator_csv(values: list[OperatorValue], stream) -> None:
-    """Rows `t,n,j,log_value`."""
-    stream.write("t,n,j,log_value\n")
-    for v in values:
-        stream.write(f"{v.t:.17g},{v.n},{v.j},{v.log_value:.17g}\n")

@@ -45,6 +45,7 @@ from .transfer import (
 )
 
 LOG2 = math.log(2.0)
+_MIN_DEPTH = 6  # the smallest depth at which every check's setup is defined
 
 
 @dataclass(frozen=True)
@@ -421,6 +422,8 @@ def run_all(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run every module invariant against one sequence spec."""
+    if depth < _MIN_DEPTH:
+        raise ValueError(f"verify depth must be >= {_MIN_DEPTH}, got {depth}")
     rng = np.random.default_rng(seed)
     checks = [
         ("family.roundtrip", lambda: check_family_roundtrip(rng)),

@@ -107,10 +107,18 @@ def test_motion_exit_code(capsys):
 
 
 def test_verify_small(capsys):
-    assert run(["verify", "--seq", "const:50", "--depth", "8"]) == 0
-    out = capsys.readouterr().out
-    assert "[PASS]" in out and "[FAIL]" not in out
-    assert "checks passed" in out
+    # depth 6 is the smallest the suite accepts; the other specs run at the default depth
+    for args in (
+        ["--seq", "const:50", "--depth", "8"],
+        ["--seq", "const:50", "--depth", "6"],
+        ["--seq", "random:seed=7,min=45,max=80"],
+        ["--seq", "periodic:50,60+10i,-45"],
+        ["--seq", "perturb:base=const:60;blocks=2x2;x=0.1"],
+    ):
+        assert run(["verify", *args]) == 0, args
+        out = capsys.readouterr().out
+        assert "[PASS]" in out and "[FAIL]" not in out
+        assert "verify: 26/26 checks passed" in out
 
 
 def test_usage_errors(capsys):
@@ -123,13 +131,19 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["nonsense"]) == 2
     capsys.readouterr()
-    # non-finite parameters and empty or non-finite t grids
+    # non-finite parameters, empty or non-finite grids, t and tol, too shallow a verify
     for args in (
         ["julia", "--seq", "const:nan", "--depth", "2"],
         ["julia", "--seq", "const:1e400", "--depth", "2"],
         ["julia", "--seq", "random:seed=1,min=45,max=inf", "--depth", "2"],
         ["pressure", "--seq", "const:50", "--t", "nan:1:3", "--n", "2:4"],
         ["pressure", "--seq", "const:50", "--t", "0:0.4:0", "--n", "2:4"],
+        ["perturb", "--base", "const:50", "--x=0:0:0", "--window", "2:4"],
+        ["perturb", "--base", "const:50", "--mode", "gap", "--x=0:0:0", "--window", "2:4"],
+        ["perturb", "--base", "const:50", "--t", "inf", "--window", "2:4"],
+        ["dimension", "--seq", "const:50", "--window", "4:6", "--tol", "inf"],
+        ["verify", "--seq", "const:50", "--depth", "5"],
+        ["verify", "--seq", "const:50", "--depth", "0"],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err

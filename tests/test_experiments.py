@@ -149,18 +149,3 @@ def test_sandwich_violation_carries_location():
     err = SandwichViolation(7, "0101101")
     assert err.n == 7 and err.word == "0101101"
     assert "n=7" in str(err)
-
-
-def test_full_perturbation_report():
-    from fiberdim.experiments import perturbation_report
-
-    report = perturbation_report(
-        CONST50, SCHEDULE, 0.05, t=0.18, n_max=10,
-        windows=((6, 10),), motion_depth=10, tol=1e-4,
-    )
-    assert report.passed()
-    assert report.max_motion_displacement is not None
-    assert 0.0 < report.max_motion_displacement <= delta(0.05) / 9 + 1e-12
-    h_lo, h_up = report.dimension_pairs[(6, 10)]
-    assert 0.0 < h_lo <= h_up < 2.0
-    assert report.rows[-1].n == 10

@@ -7,7 +7,6 @@ from fiberdim import (
     DomainError,
     apply,
     derivative,
-    disk_label,
     in_trap_union,
     inverse_branch,
     spherical_derivative,
@@ -147,4 +146,3 @@ def test_trapping_certificate_family(l):
 def test_trap_membership_helpers():
     assert in_trap_union(1.0) and in_trap_union(-1.2)
     assert not in_trap_union(0.0)
-    assert disk_label(0.9) == 0 and disk_label(-1.1) == 1

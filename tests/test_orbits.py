@@ -17,13 +17,12 @@ from fiberdim import (
     delta,
     iter_leaf_blocks,
     julia_cloud,
-    motion_pair,
-    pullback_leaves,
     resolution_bound,
     roundtrip_check,
     word_of,
     write_cloud_csv,
 )
+from fiberdim import orbits
 from oracles import brute_leaves
 
 CONST50 = Constant(50)
@@ -31,17 +30,23 @@ LOG50 = math.log(50.0)
 
 
 def test_depth_one_leaves():
-    leaves = list(pullback_leaves(CONST50, 0, 1))
-    assert [(lf.word, lf.point) for lf in leaves] == [("0", 1 + 0j), ("1", -1 + 0j)]
-    for lf in leaves:
-        assert lf.log_deriv == pytest.approx(LOG50, rel=1e-15)
-        assert lf.fiber == 0 and lf.depth == 1
+    cloud = julia_cloud(CONST50, 1)
+    words = [word_of(i, 1) for i in range(cloud.points.size)]
+    assert list(zip(words, cloud.points.tolist())) == [("0", 1 + 0j), ("1", -1 + 0j)]
+    for ld in cloud.log_derivs:
+        assert ld == pytest.approx(LOG50, rel=1e-15)
+    assert cloud.fiber == 0 and cloud.depth == 1
 
 
 def test_all_zero_word_is_fixed_point():
-    leaves = {lf.word: lf for lf in pullback_leaves(CONST50, 0, 3)}
-    assert leaves["000"].point == 1 + 0j
-    assert leaves["000"].log_deriv == pytest.approx(3 * LOG50, rel=1e-14)
+    cloud = julia_cloud(CONST50, 3)
+    assert word_of(0, 3) == "000"
+    assert cloud.points[0] == 1 + 0j
+    assert cloud.log_derivs[0] == pytest.approx(3 * LOG50, rel=1e-14)
+    # 1 is fixed by every family member, so leaf 0 stays at 1 under a perturbation too
+    pert = PerturbedSequence(CONST50, SignSchedule(2, 2, 1), 0.07)
+    for seq in (CONST50, pert):
+        assert julia_cloud(seq, 9).points[0] == 1 + 0j
 
 
 def test_depth_two_points():
@@ -55,7 +60,11 @@ def test_depth_two_points():
 
 def test_leaf_count_and_word_order():
     n = 10
-    words = [lf.word for lf in pullback_leaves(CONST50, 0, n)]
+    words = [
+        word_of(start + i, n)
+        for start, pts, _ in iter_leaf_blocks(CONST50, 0, n)
+        for i in range(pts.size)
+    ]
     assert len(words) == 2**n
     assert words == sorted(words)
     assert len(set(words)) == 2**n
@@ -66,10 +75,11 @@ def test_matches_bruteforce_enumeration():
     n = 5
     params = [at(seq, k) for k in range(1, n + 1)]
     expected = brute_leaves(params)
-    for lf in pullback_leaves(seq, 0, n):
-        z, deriv = expected[lf.word]
-        assert lf.point == pytest.approx(z, rel=1e-13, abs=1e-13)
-        assert lf.log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
+    cloud = julia_cloud(seq, n)
+    for i, (point, log_deriv) in enumerate(zip(cloud.points, cloud.log_derivs)):
+        z, deriv = expected[word_of(i, n)]
+        assert point == pytest.approx(z, rel=1e-13, abs=1e-13)
+        assert log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
 
 
 def test_fiber_offset_uses_shifted_parameters():
@@ -78,19 +88,21 @@ def test_fiber_offset_uses_shifted_parameters():
     n = 4
     params = [at(seq, k) for k in range(j + 1, j + n + 1)]
     expected = brute_leaves(params)
-    for lf in pullback_leaves(seq, j, n):
-        z, deriv = expected[lf.word]
-        assert lf.point == pytest.approx(z, rel=1e-13, abs=1e-13)
-        assert lf.log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
+    cloud = julia_cloud(seq, n, j=j)
+    for i, (point, log_deriv) in enumerate(zip(cloud.points, cloud.log_derivs)):
+        z, deriv = expected[word_of(i, n)]
+        assert point == pytest.approx(z, rel=1e-13, abs=1e-13)
+        assert log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
 
 
-def test_blocked_traversal_matches_single_block():
+def test_blocked_traversal_matches_single_block(monkeypatch):
     seq = RandomAnnulus(seed=11, min_mod=44, max_mod=70)
     n = 9
     whole = np.concatenate([pts for _, pts, _ in iter_leaf_blocks(seq, 0, n)])
     pieces = []
     starts = []
-    for start, pts, _ in iter_leaf_blocks(seq, 0, n, block_log2=3):
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
+    for start, pts, _ in iter_leaf_blocks(seq, 0, n):
         starts.append(start)
         pieces.append(pts)
     assert starts == list(range(0, 2**n, 2**3))
@@ -139,22 +151,6 @@ def test_resolution_bound_value():
     assert resolution_bound(CONST50, 5) == pytest.approx((2 / 3) * (3 / 100) ** 5, rel=1e-14)
 
 
-def test_motion_pair_trivial_cases():
-    pert0 = PerturbedSequence(CONST50, SignSchedule(2, 2, 1), 0.0)
-    for word in ("0", "10", "0110"):
-        zb, zp = motion_pair(word, CONST50, pert0)
-        assert zb == zp
-    pert = PerturbedSequence(CONST50, SignSchedule(2, 2, 1), 0.07)
-    zb, zp = motion_pair("0" * 9, CONST50, pert)
-    assert zb == 1 + 0j and zp == 1 + 0j
-
-
-def test_motion_pair_bound():
-    pert = PerturbedSequence(CONST50, SignSchedule(2, 2, 1), 0.01)
-    zb, zp = motion_pair("10", CONST50, pert)
-    assert abs(zb - zp) <= delta(0.01) / 9
-
-
 def test_motion_speed_over_all_leaves():
     for x in (0.01, 0.1):
         pert = PerturbedSequence(CONST50, SignSchedule(2, 2, 1), x)
@@ -171,7 +167,7 @@ def test_depth_cap(monkeypatch):
     monkeypatch.setenv("FIBERDIM_DEPTH_LIMIT", "6")
     with pytest.raises(DepthLimit):
         list(iter_leaf_blocks(CONST50, 0, 7))
-    assert len(list(pullback_leaves(CONST50, 0, 6))) == 64
+    assert sum(pts.size for _, pts, _ in iter_leaf_blocks(CONST50, 0, 6)) == 64
 
 
 def test_anchor_domain():

@@ -8,15 +8,15 @@ from fiberdim import (
     Periodic,
     PerturbedSequence,
     SignSchedule,
+    apply,
     at,
     change_of_variables_check,
     conformal_atoms,
     leaf_log_derivs,
-    measure_ball,
     operator_power,
     rho_estimate,
+    word_of,
 )
-from fiberdim.transfer import pushforward_index_check
 from oracles import brute_leaves, brute_operator_sum
 
 CONST50 = Constant(50)
@@ -109,7 +109,7 @@ def test_atoms_match_bruteforce_weights():
     atoms = conformal_atoms(CONST50, 0, n, t)
     params = [at(CONST50, k) for k in range(1, n + 1)]
     leaves = brute_leaves(params)
-    raw = np.array([leaves[atoms.word(i)][1] ** (-t) for i in range(4)])
+    raw = np.array([leaves[word_of(i, n)][1] ** (-t) for i in range(4)])
     assert atoms.weights == pytest.approx(raw / raw.sum(), rel=1e-13)
 
 
@@ -120,31 +120,18 @@ def test_atom_normalization():
         assert bool((atoms.weights > 0).all())
 
 
-def test_measure_ball():
-    atoms = conformal_atoms(CONST50, 0, 2, 1.0)
-    assert measure_ball(atoms, 0.0, 10.0) == pytest.approx(1.0, abs=1e-15)
-    # isolate the atom exactly at 1
-    w0 = float(atoms.weights[0])
-    assert measure_ball(atoms, 1.0, 1e-6) == pytest.approx(w0, abs=1e-15)
-    # the two atoms near +1: direct spatial filter oracle
-    inside = np.abs(atoms.points - 1.0) <= 0.1
-    assert measure_ball(atoms, 1.0, 0.1) == pytest.approx(float(atoms.weights[inside].sum()))
-    with pytest.raises(ValueError):
-        measure_ball(atoms, 0.0, 0.0)
-
-
-def test_pushforward_pairing_is_exact():
-    atoms_j = conformal_atoms(MIXED, 0, 7, 0.5)
-    atoms_next = conformal_atoms(MIXED, 1, 7, 0.5)
-    assert pushforward_index_check(atoms_j, atoms_next, MIXED) <= 1e-11
-
-
 def test_change_of_variables():
     assert change_of_variables_check(CONST50, 0, 6, 0.0) <= 1e-12
     resid3 = change_of_variables_check(CONST50, 0, 3, 1.0)
     resid6 = change_of_variables_check(CONST50, 0, 6, 1.0)
     assert resid6 <= max(2 * resid3, 1e-12)
     assert change_of_variables_check(MIXED, 2, 9, 1.0) <= 1e-9
+    # the check pairs atom i at fiber j with atom i % half at fiber j + 1 (first bit dropped)
+    atoms_j = conformal_atoms(MIXED, 0, 7, 0.5)
+    atoms_next = conformal_atoms(MIXED, 1, 7, 0.5)
+    half = atoms_next.points.size
+    parents = atoms_next.points[np.arange(atoms_j.points.size) % half]
+    assert float(np.abs(apply(at(MIXED, 1), atoms_j.points) - parents).max()) <= 1e-11
 
 
 def test_perturbed_x_zero_matches_base_atoms():
@@ -167,24 +154,3 @@ def test_atoms_record_operator_sum():
     assert math.exp(atoms.log_operator_sum) == pytest.approx(
         brute_operator_sum(params, t), rel=1e-12
     )
-
-
-def test_csv_writers():
-    import io
-
-    from fiberdim import write_atoms_csv, write_operator_csv
-
-    atoms = conformal_atoms(CONST50, 0, 1, 1.0)
-    buf = io.StringIO()
-    write_atoms_csv(atoms, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "word,re,im,weight"
-    assert lines[1] == "0,1,0,0.5"
-    assert lines[2].startswith("1,-1,")
-
-    values = operator_power(CONST50, 0, 2, [0.0, 1.0])
-    buf = io.StringIO()
-    write_operator_csv(values, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "t,n,j,log_value"
-    assert lines[1] == f"0,2,0,{values[0].log_value:.17g}"
