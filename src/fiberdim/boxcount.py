@@ -5,6 +5,11 @@ square grids across a geometric scale ladder, averaged over a few random grid
 offsets to damp lattice alignment, with the dimension read off as the least
 squares slope of log N against log(1/eps).  Used to cross-validate Bowen
 zeros on deterministic instances.
+
+Occupancy is a property of the point set, so duplicates are dropped once
+before the scale ladder.  Deep pullback clouds are mostly duplicates: their
+innermost levels contract below float spacing, and a depth-18 cloud of
+262,144 leaves holds only a few thousand distinct points.
 """
 
 from __future__ import annotations
@@ -36,12 +41,22 @@ class BoxCountReport:
         return f"box-count slope {self.slope:.6g} (rms residual {self.residual:.3g})"
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted.
+
+    One sort and a neighbour comparison: np.unique in numpy 2.4 hashes
+    complex values before sorting, about five times slower on a million.
+    """
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _occupancy(points: np.ndarray, eps: float, offset: np.ndarray) -> int:
     ix = np.floor((points.real - offset[0]) / eps)
     iy = np.floor((points.imag - offset[1]) / eps)
     # indices stay below 2**53 for eps >= 1e-15 and O(1) coordinates, so the
     # complex key is collision-free
-    return int(np.unique(ix + 1j * iy).size)
+    return int(_distinct(ix + 1j * iy).size)
 
 
 def box_dimension(
@@ -60,6 +75,8 @@ def box_dimension(
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if pts.size < 1000:
         raise ValueError(f"need at least 1000 points, got {pts.size}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
     ladder = default_ladder() if eps_ladder is None else np.asarray(eps_ladder, dtype=float)
     ladder = np.sort(ladder)[::-1]
     if ladder.size < 2 or ladder[0] / ladder[-1] < 100.0:
@@ -70,6 +87,7 @@ def box_dimension(
             f"scale {ladder[-1]:.3g} below the cloud resolution bound {floor:.3g}"
         )
 
+    pts = _distinct(pts)  # occupancy depends on the point set only
     rng = np.random.default_rng(seed)
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):

@@ -100,8 +100,8 @@ def sandwich_check(
         lds_pert, _ = leaf_log_derivs(pert, j, n, anchor)
         # signs entering fiber j are s_{j+1}, ..., s_{j+n}
         s_n = cesaro_sum(schedule, j + n)[0] - (cesaro_sum(schedule, j)[0] if j else 0)
-        a_base = logsumexp(lds_base * -t) / n
-        a_pert = logsumexp(lds_pert * -t) / n
+        a_base = logsumexp(lds_base * -t, 2) / n  # each value stands for two leaves
+        a_pert = logsumexp(lds_pert * -t, 2) / n
         residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2.0
         rows.append(SandwichRow(n, s_n, a_base, a_pert, residual))
 

@@ -13,6 +13,12 @@ at most 2**_BLOCK_LOG2 leaves (word-order preserved) so memory stays bounded
 regardless of depth.  Accumulated log-derivatives are carried along exactly:
 log_deriv(leaf) = sum over forward steps of log|l_k z_k| (planar metric) or
 the spherically rescaled step sizes (metric="spherical").
+
+First-bit identity: the leaves 0w and 1w are -r and r for one parent, and
+every step log depends on |r| (and |r|^2) only, so their log-derivatives are
+bit-identical.  Sums over a tree's log-derivatives therefore need only the
+half whose words start with 0 (leaf_log_derivs), counted twice; the points
+themselves differ and are still traversed in full.
 """
 
 from __future__ import annotations
@@ -124,9 +130,6 @@ def iter_leaf_blocks(
     params = [at(seq, k) for k in range(j + 1, j + n + 1)]
     pts = np.array([complex(anchor)], dtype=np.complex128)
     lds = np.zeros(1)
-    if n == 0:
-        yield 0, pts, lds
-        return
     prefix_bits = max(0, n - _BLOCK_LOG2)
     for m in range(n - 1, prefix_bits - 1, -1):
         pts, lds = _inverse_step(params[m], pts, lds, metric, stats, verify_edges)
@@ -157,15 +160,25 @@ def leaf_log_derivs(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
 ) -> tuple[np.ndarray, TreeStats]:
-    """Materialize the 2**n accumulated log-derivatives in word order.
+    """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
 
-    Blocks are written into one preallocated array, so the tree is held once
-    rather than as blocks plus their concatenation.
+    By the first-bit identity each value stands for two leaves; n = 0 returns
+    [0], the anchor, which stands for one.  The stats are those of the full
+    depth-n tree.  The half is the depth-(n-1) tree at fiber j+1 plus one
+    branch-0 step with l_{j+1}, the same arithmetic as the full traversal.
     """
-    stats = TreeStats()
-    out = np.empty(1 << n)
-    for start, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric, stats):
-        out[start : start + lds.size] = lds
+    _validate(n, anchor)
+    steps = TreeStats()
+    if n == 0:
+        out = np.zeros(1)
+    else:
+        l = at(seq, j + 1)
+        out = np.empty(1 << (n - 1))
+        for start, pts, lds in iter_leaf_blocks(seq, j + 1, n - 1, anchor, metric, steps):
+            _, out[start : start + lds.size] = _inverse_step(l, pts, lds, metric, steps, False)
+    # the inner traversal's leaf extremes are those of partial sums: keep only its steps
+    stats = TreeStats(steps.step_log_min, steps.step_log_max)
+    stats._update_leaves(out)
     return out, stats
 
 

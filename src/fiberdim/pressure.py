@@ -27,6 +27,11 @@ is split at its innermost levels into subtrees of at most 2**_BLOCK_LOG2
 leaves (orbits.subtrees), each subtree is one job reduced at every t with
 transfer.logsumexp, and jobs are combined with logaddexp in job order, so
 the result does not depend on the worker count.
+
+Every reduction runs over half a tree: the leaves 0w and 1w have the same
+log-derivative (the first-bit identity in orbits.py), so subtree jobs and
+cached W_n hold the 2**(depth-1) values of orbits.leaf_log_derivs, which
+transfer.logsumexp counts twice.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from .errors import BracketFailure
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, check_depth, iter_leaf_blocks, leaf_log_derivs, subtrees
+from .orbits import PLANAR, check_depth, leaf_log_derivs, subtrees
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
 from .transfer import logsumexp
@@ -80,12 +85,18 @@ class _Trees:
         return np.array(out)
 
 
+def _multiplicity(depth: int) -> int:
+    """How many leaves each value of leaf_log_derivs(..., depth, ...) stands for."""
+    return 2 if depth else 1
+
+
 def _subtree_sums(args):
     """Log sums at every t, and leaf extremes, of one subtree shifted by its root's log-derivative."""
     seq, j, depth, root, ld0, metric, t_grid = args
-    [(_, _, lds)] = iter_leaf_blocks(seq, j, depth, root, metric)  # depth <= block size
-    sums = np.array([logsumexp(lds * -t) for t in t_grid]) - np.asarray(t_grid) * ld0
-    return sums, float(lds.min()) + ld0, float(lds.max()) + ld0
+    lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
+    mult = _multiplicity(depth)
+    sums = np.array([logsumexp(lds * -t, mult) for t in t_grid]) - np.asarray(t_grid) * ld0
+    return sums, stats.leaf_log_min + ld0, stats.leaf_log_max + ld0
 
 
 def log_operator_sums(
@@ -215,11 +226,11 @@ class _WindowPressure:
         w_lo, w_hi = int(window[0]), int(window[1])
         self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
         self.n_values = np.arange(w_lo, w_hi + 1)
-        self.lds = []
+        self.lds = []  # (half tree, multiplicity) per tree
         mins, maxs = [], []
         for depth, root in self.trees.roots:
             lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
-            self.lds.append(lds)
+            self.lds.append((lds, _multiplicity(depth)))
             mins.append(stats.leaf_log_min)
             maxs.append(stats.leaf_log_max)
         self.leaf_log_min = self.trees.per_depth(mins, min)
@@ -228,7 +239,7 @@ class _WindowPressure:
 
     def rows(self, t: float) -> np.ndarray:
         self.evaluations += 1
-        sums = [logsumexp(lds * -t) for lds in self.lds]
+        sums = [logsumexp(lds * -t, mult) for lds, mult in self.lds]
         return self.trees.per_depth(sums, np.logaddexp, -t) / self.n_values
 
     def bracket(self) -> tuple[float, float]:

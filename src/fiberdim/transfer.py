@@ -21,10 +21,16 @@ from .orbits import PLANAR, iter_leaf_blocks, julia_cloud
 from .sequences import SequenceSpec, at
 
 
-def logsumexp(values: np.ndarray) -> float:
-    """log(sum(exp(values))) of a 1-D array, max-shifted for stability."""
+def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
+    """log(multiplicity * sum(exp(values))) of a 1-D array, max-shifted for stability.
+
+    With multiplicity 2 and the half that orbits.leaf_log_derivs returns, this
+    is bit-identical to the sum over the full 2**k array whenever the half has
+    at least 128 values: numpy's pairwise sum splits such an array exactly at
+    its half, and doubling is exact.  Smaller trees can differ in the last ulp.
+    """
     m = float(np.max(values))
-    return m + math.log(float(np.sum(np.exp(values - m))))
+    return m + math.log(multiplicity * float(np.sum(np.exp(values - m))))
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import family
 from .orbits import (
+    check_depth,
     composed_forward_residual,
     iter_leaf_blocks,
     julia_cloud,
@@ -422,8 +423,12 @@ def run_all(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run every module invariant against one sequence spec."""
+    # usage errors, raised before any check runs so that they are not reported as FAILs
     if depth < _MIN_DEPTH:
         raise ValueError(f"verify depth must be >= {_MIN_DEPTH}, got {depth}")
+    check_depth(depth)
+    if not 0 < tol < math.inf:  # also rejects NaN
+        raise ValueError("tol must be finite and > 0")
     rng = np.random.default_rng(seed)
     checks = [
         ("family.roundtrip", lambda: check_family_roundtrip(rng)),

@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fiberdim import ResolutionError, box_dimension, cloud_ladder, default_ladder
+from fiberdim import (
+    Constant,
+    ResolutionError,
+    box_dimension,
+    cloud_ladder,
+    default_ladder,
+    julia_cloud,
+)
+from fiberdim.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def square_cloud(side=256):
@@ -67,6 +79,8 @@ def test_input_validation():
     with pytest.raises(ValueError):
         box_dimension(segment_cloud(count=100))
     with pytest.raises(ValueError):
+        box_dimension(np.append(segment_cloud(), np.nan))
+    with pytest.raises(ValueError):
         box_dimension(segment_cloud(), np.geomspace(0.5, 0.05, 5))  # one decade only
 
 
@@ -86,3 +100,32 @@ def test_deterministic_given_seed():
     b = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9), seed=5)
     assert a.slope == b.slope
     assert np.array_equal(a.counts, b.counts)
+
+
+def test_duplicates_do_not_change_counts():
+    # A depth-12 const:50 cloud holds 1284 distinct points among its 4096 leaves.
+    cloud = julia_cloud(Constant(50), 12)
+    distinct = np.unique(cloud.points)
+    assert 1000 <= distinct.size < cloud.points.size
+    rng = np.random.default_rng(3)
+    shuffled = np.concatenate([rng.permutation(cloud.points), cloud.points[:500]])
+    ladder = cloud_ladder(cloud.resolution)
+    want = box_dimension(cloud.points, ladder)
+    for points in (distinct, shuffled):
+        got = box_dimension(points, ladder)
+        assert np.array_equal(got.counts, want.counts)
+        assert got.slope == want.slope
+        assert got.residual == want.residual
+    # the size guard applies to the input, not to its distinct points
+    assert box_dimension(np.tile(distinct[:10], 100), np.geomspace(0.3, 1e-4, 9)).counts[0] >= 1
+
+
+def test_dimension_box_check_golden(tmp_path, capsys):
+    # stdout, roots CSV and box CSV frozen from the full-array box count
+    roots, box = tmp_path / "roots.csv", tmp_path / "box.csv"
+    assert main(["dimension", "--seq", "const:50", "--window", "8:12", "--box-check",
+                 "--box-depth", "14", "--box-out", str(box), "-o", str(roots)]) == 0
+    want = GOLDEN / "dimension_const50"
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    assert roots.read_bytes() == (want / "roots.csv").read_bytes()
+    assert box.read_bytes() == (want / "box.csv").read_bytes()

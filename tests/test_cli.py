@@ -131,7 +131,8 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert run(["nonsense"]) == 2
     capsys.readouterr()
-    # non-finite parameters, empty or non-finite grids, t and tol, too shallow a verify
+    # non-finite parameters, empty or non-finite grids, t and tol, verify depths
+    # outside [6, cap]
     for args in (
         ["julia", "--seq", "const:nan", "--depth", "2"],
         ["julia", "--seq", "const:1e400", "--depth", "2"],
@@ -144,6 +145,9 @@ def test_usage_errors(capsys):
         ["dimension", "--seq", "const:50", "--window", "4:6", "--tol", "inf"],
         ["verify", "--seq", "const:50", "--depth", "5"],
         ["verify", "--seq", "const:50", "--depth", "0"],
+        ["verify", "--seq", "const:50", "--depth", "27"],
+        ["verify", "--seq", "const:50", "--tol", "inf"],
+        ["verify", "--seq", "const:50", "--tol", "nan"],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err

@@ -17,6 +17,7 @@ from fiberdim import (
     delta,
     iter_leaf_blocks,
     julia_cloud,
+    leaf_log_derivs,
     resolution_bound,
     roundtrip_check,
     word_of,
@@ -168,6 +169,32 @@ def test_depth_cap(monkeypatch):
     with pytest.raises(DepthLimit):
         list(iter_leaf_blocks(CONST50, 0, 7))
     assert sum(pts.size for _, pts, _ in iter_leaf_blocks(CONST50, 0, 6)) == 64
+
+
+@pytest.mark.parametrize(
+    "seq", [CONST50, Periodic((50, 60 + 10j, -45)), RandomAnnulus(seed=5)], ids=format
+)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+def test_half_tree_log_derivs(monkeypatch, seq, metric, anchor):
+    # Blocks of 2^3 leaves, so trees deeper than 3 take the per-prefix path.
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
+    monkeypatch.setenv("FIBERDIM_DEPTH_LIMIT", "12")
+    for n in (0, 1, 2, 7, 12):
+        full_stats = orbits.TreeStats()
+        full = np.concatenate(
+            [lds for _, _, lds in iter_leaf_blocks(seq, 0, n, anchor, metric, full_stats)]
+        )
+        half, stats = leaf_log_derivs(seq, 0, n, anchor, metric)
+        if n == 0:
+            assert np.array_equal(half, full) and np.array_equal(half, [0.0])
+        else:
+            # words 0w and 1w have bit-identical log-derivatives
+            assert np.array_equal(half, full[: full.size // 2])
+            assert np.array_equal(half, full[full.size // 2 :])
+        assert stats == full_stats
+    with pytest.raises(DepthLimit):
+        leaf_log_derivs(seq, 0, 13, anchor, metric)
 
 
 def test_anchor_domain():

@@ -12,7 +12,9 @@ from fiberdim import (
     at,
     change_of_variables_check,
     conformal_atoms,
+    iter_leaf_blocks,
     leaf_log_derivs,
+    logsumexp,
     operator_power,
     rho_estimate,
     word_of,
@@ -67,6 +69,17 @@ def test_operator_value_bracket():
         value = operator_power(MIXED, 0, n, [t])[0].log_value
         assert n * math.log(2) - t * stats.leaf_log_max - 1e-12 <= value
         assert value <= n * math.log(2) - t * stats.leaf_log_min + 1e-12
+
+
+def test_half_tree_logsumexp_is_bit_identical():
+    # numpy's pairwise sum splits a 2^k array (k >= 8) exactly at its half, and
+    # doubling is exact, so the half counted twice gives the full-tree bits
+    for seq in (CONST50, MIXED):
+        for n in (8, 11):
+            [(_, _, full)] = iter_leaf_blocks(seq, 0, n)
+            half, _ = leaf_log_derivs(seq, 0, n)
+            for t in (0.0, 0.17, 0.4, 1.3):
+                assert logsumexp(half * -t, 2) == logsumexp(full * -t)
 
 
 def test_rho_estimate_exact_at_zero():
