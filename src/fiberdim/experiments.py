@@ -237,15 +237,11 @@ def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _window_rows(seq, t, window, anchor, j) -> np.ndarray:
-    """a_n(t) for every n in the window, reduced serially."""
+def _kink_cell(args):
+    """a_n(t) for every n in the window, reduced serially inside one job."""
+    seq, t, window, anchor, j = args
     sums = log_operator_sums(seq, [t], window, j, anchor)[0][:, 0]
     return sums / np.arange(window[0], window[1] + 1)
-
-
-def _kink_cell(args):
-    base, schedule, x, t, window, anchor, j = args
-    return _window_rows(PerturbedSequence(base, schedule, x), t, window, anchor, j)
 
 
 def kink_scan(
@@ -270,14 +266,13 @@ def kink_scan(
     w_lo, w_hi = int(window[0]), int(window[1])
     n_values = list(range(w_lo, w_hi + 1))
 
-    a_base = _window_rows(base, t, (w_lo, w_hi), anchor, j)
+    seqs = [base] + [PerturbedSequence(base, schedule, float(x)) for x in grid]
+    jobs = [(seq, float(t), (w_lo, w_hi), anchor, j) for seq in seqs]
+    a_base, *results = run_jobs(_kink_cell, jobs, workers)
     base_lower, base_upper = float(a_base.min()), float(a_base.max())
     offset = cesaro_sum(schedule, j)[0] if j else 0
     ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in n_values])
     c_min, c_max = float(ratios.min()), float(ratios.max())
-
-    jobs = [(base, schedule, float(x), float(t), (w_lo, w_hi), anchor, j) for x in grid]
-    results = run_jobs(_kink_cell, jobs, workers)
 
     rows = []
     for x, a_pert in zip(grid, results):

@@ -8,11 +8,28 @@ steps.  Leaves are enumerated in lexicographic word order; the integer index
 of a leaf is its word read as a binary number.
 
 The traversal works level by level on numpy arrays, stacking the new branch
-bit as the most significant index bit.  Deep trees are streamed in blocks of
-at most 2**_BLOCK_LOG2 leaves (word-order preserved) so memory stays bounded
+bit as the most significant index bit: the levels that branch on every leaf
+fill one points array and one log-derivatives array of the final size in
+place (a level with s parents in [0, s) writes their roots there and the
+negatives to [s, 2s)).  Deep trees are streamed in blocks of at most
+2**_BLOCK_LOG2 leaves (word-order preserved) so memory stays bounded
 regardless of depth.  Accumulated log-derivatives are carried along exactly:
 log_deriv(leaf) = sum over forward steps of log|l_k z_k| (planar metric) or
 the spherically rescaled step sizes (metric="spherical").
+
+Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
+w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
+is log|l r| = (log|l| + log|l + 2p - 2|) / 2 and the spherical one adds
+log1p(|l + 2p - 2| / |l|) - log1p(|p|^2).  Every step log is computed from
+the parents this way, so a level that needs only log-derivatives (the last
+one of leaf_log_derivs) takes no square root.
+
+The root itself uses the csqrt formula of glibc and msun for Re w > 0,
+r = sqrt((hypot(Re w, Im w) + Re w)/2) + i (Im w / r)/2, which skips the
+branch cuts and scalings of the general complex square root.  Its
+precondition holds on the closed trapping disks: |p - 1| <= 7/3 there, so
+|w - 1| <= 14/(3|l|) < 14/120 and Re w > 0.88.  It gives the same bits as
+np.sqrt (checked by the tests on trapped radicands).
 
 First-bit identity: the leaves 0w and 1w are -r and r for one parent, and
 every step log depends on |r| (and |r|^2) only, so their log-derivatives are
@@ -85,13 +102,48 @@ def _validate(n: int, anchor: complex) -> None:
         raise DomainError(f"anchor {anchor} lies outside the closed trapping disks")
 
 
-def _step_logs(l: complex, children: np.ndarray, parents: np.ndarray, metric: str) -> np.ndarray:
-    steps = np.log(np.abs(l)) + np.log(np.abs(children))
+def _step_logs(l: complex, parents: np.ndarray, metric: str) -> np.ndarray:
+    """One-step log-derivatives at the branch-0 preimages of `parents`, from the parents alone.
+
+    The step-log identity of the module docstring: no root is taken.
+    """
+    abs_l = abs(l)
+    mag = 2.0 * parents
+    mag += l - 2.0
+    mag = np.abs(mag)  # |l + 2p - 2| = |l| |root|^2
+    steps = np.log(mag)
+    steps += math.log(abs_l)
+    steps *= 0.5
     if metric == SPHERICAL:
-        steps = steps + np.log1p(np.abs(children) ** 2) - np.log1p(np.abs(parents) ** 2)
+        mag /= abs_l
+        steps += np.log1p(mag, out=mag)
+        parent_sq = np.abs(parents, out=mag)  # reuses the buffer
+        parent_sq *= parent_sq
+        steps -= np.log1p(parent_sq, out=parent_sq)
     elif metric != PLANAR:
         raise ValueError(f"unknown metric {metric!r}")
     return steps
+
+
+def _branch0_root(l: complex, parents: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(w), w = 1 + 2(p - 1)/l: the branch-0 preimages of `parents`.
+
+    Written to `out` (which may be `parents`) or to a new array.  Needs
+    Re w > 0, which holds on the trapping disks (module docstring).
+    """
+    w = parents - 1.0
+    w *= 2.0
+    w /= l
+    w += 1.0
+    r = np.hypot(w.real, w.imag)
+    r += w.real
+    r *= 0.5
+    np.sqrt(r, out=r)
+    out = w if out is None else out
+    np.divide(w.imag, r, out=out.imag)
+    out.imag *= 0.5
+    out.real = r
+    return out
 
 
 def _inverse_step(l, pts, lds, metric, stats, verify):
@@ -100,8 +152,8 @@ def _inverse_step(l, pts, lds, metric, stats, verify):
     The branch-1 preimages are their negatives, with the same log-derivatives
     since |-r| = |r|.
     """
-    root = np.sqrt(1.0 + 2.0 * (pts - 1.0) / l)
-    steps = _step_logs(l, root, pts, metric)
+    steps = _step_logs(l, pts, metric)
+    root = _branch0_root(l, pts)
     if stats is not None:
         stats._update_steps(steps)
         if verify:
@@ -128,18 +180,29 @@ def iter_leaf_blocks(
     """
     _validate(n, anchor)
     params = [at(seq, k) for k in range(j + 1, j + n + 1)]
-    pts = np.array([complex(anchor)], dtype=np.complex128)
-    lds = np.zeros(1)
     prefix_bits = max(0, n - _BLOCK_LOG2)
+    size = 1 << (n - prefix_bits)
+    pts = np.empty(size, dtype=np.complex128)
+    lds = np.empty(size)
+    pts[0], lds[0] = anchor, 0.0
+    s = 1
     for m in range(n - 1, prefix_bits - 1, -1):
-        pts, lds = _inverse_step(params[m], pts, lds, metric, stats, verify_edges)
-        pts, lds = np.concatenate([pts, -pts]), np.tile(lds, 2)
+        if verify_edges:
+            pts[:s], lds[:s] = _inverse_step(params[m], pts[:s], lds[:s], metric, stats, True)
+        else:
+            steps = _step_logs(params[m], pts[:s], metric)
+            if stats is not None:
+                stats._update_steps(steps)
+            _branch0_root(params[m], pts[:s], out=pts[:s])
+            lds[:s] += steps
+        np.negative(pts[:s], out=pts[s : 2 * s])
+        lds[s : 2 * s] = lds[:s]
+        s *= 2
     if prefix_bits == 0:
         if stats is not None:
             stats._update_leaves(lds)
         yield 0, pts, lds
         return
-    size = pts.size
     for prefix in range(1 << prefix_bits):
         block_pts, block_lds = pts, lds
         for m in range(prefix_bits - 1, -1, -1):
@@ -175,7 +238,9 @@ def leaf_log_derivs(
         l = at(seq, j + 1)
         out = np.empty(1 << (n - 1))
         for start, pts, lds in iter_leaf_blocks(seq, j + 1, n - 1, anchor, metric, steps):
-            _, out[start : start + lds.size] = _inverse_step(l, pts, lds, metric, steps, False)
+            last = _step_logs(l, pts, metric)
+            steps._update_steps(last)
+            np.add(lds, last, out=out[start : start + lds.size])
     # the inner traversal's leaf extremes are those of partial sums: keep only its steps
     stats = TreeStats(steps.step_log_min, steps.step_log_max)
     stats._update_leaves(out)

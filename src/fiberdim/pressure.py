@@ -265,7 +265,9 @@ def bowen_zero(
     which="lower" roots min_n a_n (Hausdorff side), which="upper" roots
     max_n a_n (packing side).  The starting bracket [n log2/maxL, n log2/minL]
     straddles zero by the operator-value bracket; the reported t-uncertainty
-    is tol divided by the slope floor log(80/3).
+    is tol divided by the slope floor log(80/3).  A tol the float resolution
+    of a_n cannot reach raises ValueError once no float lies strictly inside
+    the bracket.
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
@@ -283,18 +285,22 @@ def bowen_zero(
         raise BracketFailure(
             f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
         )
-    t_mid, f_mid = lo, f_lo
-    for _ in range(200):
+    best = min(abs(f_lo), abs(f_hi))
+    while True:
         t_mid = 0.5 * (lo + hi)
         f_mid = float(reduce(wp.rows(t_mid)))
         if abs(f_mid) <= tol:
             break
+        best = min(best, abs(f_mid))
+        if not lo < t_mid < hi:
+            raise ValueError(
+                f"tol {tol:g} is below the float resolution of the pressure: the bracket "
+                f"[{lo!r}, {hi!r}] holds no float inside, smallest residual reached {best:.3g}"
+            )
         if f_mid > 0.0:
             lo = t_mid
         else:
             hi = t_mid
-    else:
-        raise BracketFailure("bisection failed to reach tolerance in 200 iterations")
     return BowenZero(
         t_star=t_mid,
         which=which,

@@ -12,6 +12,7 @@ can be shared freely between concurrent workers.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -209,6 +210,15 @@ class PerturbedSequence:
 SequenceSpec = Constant | Periodic | Explicit | RandomAnnulus | PerturbedSequence
 
 
+@functools.lru_cache(maxsize=4096)
+def _annulus_draw(spec: RandomAnnulus, k: int) -> complex:
+    """l_k of a RandomAnnulus; memoized, since each draw builds a Philox generator (~20 us)."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([spec.seed, k], dtype=np.uint64)))
+    modulus = gen.uniform(spec.min_mod, spec.max_mod)
+    argument = gen.uniform(0.0, 2.0 * math.pi)
+    return complex(modulus * math.cos(argument), modulus * math.sin(argument))
+
+
 def at(spec: SequenceSpec, k: int) -> complex:
     """The k-th parameter l_k (k >= 1). Always satisfies |l_k| > 40."""
     if k < 1:
@@ -220,10 +230,7 @@ def at(spec: SequenceSpec, k: int) -> complex:
     if isinstance(spec, Explicit):
         return spec.prefix[k - 1] if k <= len(spec.prefix) else complex(spec.tail)
     if isinstance(spec, RandomAnnulus):
-        gen = np.random.Generator(np.random.Philox(key=np.array([spec.seed, k], dtype=np.uint64)))
-        modulus = gen.uniform(spec.min_mod, spec.max_mod)
-        argument = gen.uniform(0.0, 2.0 * math.pi)
-        return complex(modulus * math.cos(argument), modulus * math.sin(argument))
+        return _annulus_draw(spec, k)
     if isinstance(spec, PerturbedSequence):
         s = spec.schedule.sign_at(k)
         return math.exp(spec.x * s) * at(spec.base, k)

@@ -121,7 +121,7 @@ def test_verify_small(capsys):
         assert "verify: 26/26 checks passed" in out
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(tmp_path, capsys):
     assert run(["julia"]) == 2  # missing --seq
     capsys.readouterr()
     assert run(["julia", "--seq", "const:30", "--depth", "2"]) == 2  # modulus too small
@@ -151,6 +151,18 @@ def test_usage_errors(capsys):
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err
+    # rejected without output: a box depth under 1000 points or above the cap, and a
+    # tol below the float resolution of a_n (found when the bisection bracket runs out)
+    out = tmp_path / "roots.csv"
+    for args in (
+        ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "9"],
+        ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "30"],
+        ["dimension", "--seq", "const:50", "--window", "4:6", "--tol", "1e-20"],
+    ):
+        assert run([*args, "-o", str(out)]) == 2, args
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == "", args
+        assert not out.exists(), args
 
 
 def test_depth_cap_respects_env(tmp_path, monkeypatch, capsys):

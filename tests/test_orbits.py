@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -24,6 +25,7 @@ from fiberdim import (
     write_cloud_csv,
 )
 from fiberdim import orbits
+from fiberdim.cli import main
 from oracles import brute_leaves
 
 CONST50 = Constant(50)
@@ -232,3 +234,64 @@ def test_spherical_log_derivs_telescope():
     pts = julia_cloud(seq, n, anchor).points
     expected = planar + np.log1p(np.abs(pts) ** 2) - math.log1p(abs(anchor) ** 2)
     assert np.allclose(spherical, expected, rtol=0, atol=1e-11)
+
+
+def _trapped_parents(rng, size):
+    """Points of the closed trapping disks, boundary included."""
+    centers = rng.choice([-1.0, 1.0], size)
+    radii = np.concatenate([rng.uniform(0.0, 1.0 / 3.0, size - 16), np.full(16, 1.0 / 3.0)])
+    return centers + radii * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size))
+
+
+def _random_parameters(rng, count):
+    moduli = rng.uniform(40.0, 400.0, count)
+    moduli[0] = np.nextafter(40.0, 41.0)
+    return moduli * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+
+
+def test_branch0_root_matches_numpy_sqrt():
+    rng = np.random.default_rng(11)
+    for l in _random_parameters(rng, 40):
+        l = complex(l)
+        parents = _trapped_parents(rng, 4096)
+        w = 1.0 + 2.0 * (parents - 1.0) / l
+        assert w.real.min() > 0.88  # the precondition of the hand-written root
+        assert np.array_equal(orbits._branch0_root(l, parents), np.sqrt(w))
+        out = parents.copy()  # in place, as the all-branch levels use it
+        orbits._branch0_root(l, out, out=out)
+        assert np.array_equal(out, np.sqrt(w))
+
+
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_root_free_step_logs(metric):
+    rng = np.random.default_rng(12)
+    for l in _random_parameters(rng, 40):
+        l = complex(l)
+        parents = _trapped_parents(rng, 4096)
+        root = np.sqrt(1.0 + 2.0 * (parents - 1.0) / l)
+        expected = math.log(abs(l)) + np.log(np.abs(root))
+        if metric == "spherical":
+            expected += np.log1p(np.abs(root) ** 2) - np.log1p(np.abs(parents) ** 2)
+        steps = orbits._step_logs(l, parents, metric)
+        assert np.all(np.abs(steps - expected) <= 4 * np.spacing(np.abs(expected)))
+
+
+# sha256 of the `word,re,im` columns of `fiberdim julia --depth 12`, frozen
+# before the traversal stopped calling np.sqrt; the points must not move
+JULIA_DEPTH12_POINTS = {
+    ("const:50", "planar", "1"):
+        "51c00d8b579cfbb83b5c62e75bd15ac3999a33ae4ae223551e770760830569fd",
+    ("random:seed=7,min=45,max=80", "planar", "1"):
+        "21acd19b81aaf66eeca83190edcbf36957a81bbdabf68694b64ece1355bade5a",
+    ("random:seed=7,min=45,max=80", "spherical", "-1.05+0.1i"):
+        "818936142b83851150cfc9bb4b21762ad6d78deff5d7596c22bd300d800cc072",
+}
+
+
+@pytest.mark.parametrize("spec,metric,anchor", sorted(JULIA_DEPTH12_POINTS))
+def test_julia_points_golden(spec, metric, anchor, capsys):
+    assert main(["julia", "--seq", spec, "--depth", "12", "--metric", metric,
+                 f"--anchor={anchor}"]) == 0
+    rows = capsys.readouterr().out.splitlines(keepends=True)
+    columns = "".join(row.rsplit(",", 1)[0] + "\n" for row in rows)
+    assert hashlib.sha256(columns.encode()).hexdigest() == JULIA_DEPTH12_POINTS[spec, metric, anchor]

@@ -154,6 +154,9 @@ def test_single_n_window_form():
     root_int = bowen_zero(CONST50, "lower", 10, tol=1e-4)
     root_pair = bowen_zero(CONST50, "lower", (10, 10), tol=1e-4)
     assert root_int.t_star == root_pair.t_star
+    # at depth 1 every leaf has log-derivative log 50: the bracket is one point, the root
+    one = bowen_zero(CONST50, "lower", 1, tol=1e-4)
+    assert one.bracket[0] == one.bracket[1] == one.t_star
 
 
 def test_metric_option_shifts_root_slightly():
@@ -180,6 +183,8 @@ def test_validation_errors():
         bowen_zero(CONST50, "middle", (4, 8))
     with pytest.raises(ValueError):
         bowen_zero(CONST50, "lower", (4, 8), tol=0.0)
+    with pytest.raises(ValueError, match="below the float resolution"):
+        bowen_zero(CONST50, "lower", (4, 6), tol=1e-20)
 
 
 def test_csv_formats():

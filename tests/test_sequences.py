@@ -21,6 +21,7 @@ from fiberdim import (
     max_perturbation,
     parse_sequence,
 )
+from fiberdim import sequences
 from oracles import cesaro_from_blocks
 
 SCHEDULE_2X2 = SignSchedule(2, 2, 1)
@@ -106,6 +107,13 @@ def test_random_annulus_is_pure_and_in_annulus():
         assert 45.0 <= abs(at(a, k)) <= 80.0
     assert at(a, 1) != at(a, 2)
     assert at(RandomAnnulus(seed=8), 1) != at(a, 1)
+    # draws are memoized: a cached value equals a fresh draw, and the cache is bounded
+    draw = sequences._annulus_draw
+    for k in (1, 2, 123_456):
+        assert at(a, k) == draw.__wrapped__(a, k)
+    draw.cache_clear()
+    assert [at(a, k) for k in (1, 2, 3)] == [draw.__wrapped__(a, k) for k in (1, 2, 3)]
+    assert draw.cache_info().currsize == 3 and draw.cache_info().maxsize is not None
 
 
 def test_invalid_specs_rejected():
