@@ -23,7 +23,6 @@ from .errors import ResolutionError
 
 _FLOAT_SCALE_FLOOR = 1e-15  # below this, float64 coordinates cannot separate boxes
 DEFAULT_OFFSETS = 4
-MIN_POINTS = 1000  # fewest points box_dimension fits a slope to
 
 
 def default_ladder(eps_max: float = 1e-2, eps_min: float = 1e-13, count: int = 23) -> np.ndarray:
@@ -74,8 +73,8 @@ def box_dimension(
     ResolutionError.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size < MIN_POINTS:
-        raise ValueError(f"need at least {MIN_POINTS} points, got {pts.size}")
+    if pts.size < 1000:
+        raise ValueError(f"need at least 1000 points, got {pts.size}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     ladder = default_ladder() if eps_ladder is None else np.asarray(eps_ladder, dtype=float)

