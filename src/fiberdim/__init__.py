@@ -21,6 +21,7 @@ from .errors import (
     PerturbationTooLarge,
     ResolutionError,
     SandwichViolation,
+    UnreachableTolerance,
 )
 from .experiments import (
     GapScan,

@@ -21,6 +21,10 @@ class BracketFailure(RuntimeError):
     """Root-finding bracket endpoints do not straddle zero."""
 
 
+class UnreachableTolerance(ValueError):
+    """A root-finding tolerance is below the float resolution of the function rooted."""
+
+
 class ResolutionError(ValueError):
     """Box-counting scale below the point cloud's resolution bound."""
 

@@ -5,8 +5,13 @@ log 2 at t = 0, and its slope lies between -(max leaf log_deriv)/n and
 -(min leaf log_deriv)/n.  The limsup/liminf over n are approximated by the max
 and min of a_n over a window of depths; the unique zero of each windowed curve
 estimates the packing (upper) and Hausdorff (lower) dimension of the fiber
-Julia set.  Zeros are found by bisection from an analytic bracket, with the
-slope floor log(80/3) converting the residual tolerance into a t-uncertainty.
+Julia set.  Zeros are found by safeguarded Newton steps inside an analytic
+bracket.  Each row's t-derivative comes from the same exponentials as its
+value, a_n' = -(sum w ld / sum w)/n, and because every row is convex a
+Newton step taken from the left never passes the zero of min_n a_n (least
+row step) or of max_n a_n (argmax row step); bisection is the fallback step.
+The slope floor min(log(80/3), min_n leaf_log_min_n / n) converts the
+residual tolerance into a t-uncertainty.
 
 Why anchor 1 is cheap: every f_l fixes 1 and sends -1 to 1, and
 |f_l'(+-1)| = |l| in both metrics (the spherical factor is 2/2 at +-1).  So
@@ -41,12 +46,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure
+from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
 from .orbits import PLANAR, check_depth, leaf_log_derivs, subtrees
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
-from .transfer import logsumexp
+from .transfer import logsumexp, logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
@@ -83,6 +88,26 @@ class _Trees:
             if n >= self.n_lo:
                 out.append(acc)
         return np.array(out)
+
+    def per_depth_slopes(self, sums, slopes, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Per-depth log L^n 1 and its t-derivative from per-tree log sums and slopes at t.
+
+        The values are per_depth(sums, np.logaddexp, -t), bit for bit.  From
+        anchor 1 the derivative of acc_n = logaddexp(acc_{n-1}, S_n) - t log|l_{j+n}|
+        is the mix d_n = s d_{n-1} + (1 - s) S'_n - log|l_{j+n}| with
+        s = exp(acc_{n-1} - logaddexp(acc_{n-1}, S_n)), the old sum's share.
+        """
+        if self.log_l is None:
+            return np.asarray(sums), np.asarray(slopes)
+        acc, slope, out = 0.0, 0.0, []
+        for n, (value, d_value, step) in enumerate(zip(sums, slopes, self.log_l), start=1):
+            total = np.logaddexp(acc, value)
+            share = math.exp(acc - total)
+            acc = total + -t * step
+            slope = share * slope + (1.0 - share) * d_value - step
+            if n >= self.n_lo:
+                out.append((acc, slope))
+        return tuple(np.array(out).T)
 
 
 def _multiplicity(depth: int) -> int:
@@ -236,11 +261,20 @@ class _WindowPressure:
         self.leaf_log_min = self.trees.per_depth(mins, min)
         self.leaf_log_max = self.trees.per_depth(maxs, max)
         self.evaluations = 0
+        self._evaluated = {}
 
-    def rows(self, t: float) -> np.ndarray:
-        self.evaluations += 1
-        sums = [logsumexp(lds * -t, mult) for lds, mult in self.lds]
-        return self.trees.per_depth(sums, np.logaddexp, -t) / self.n_values
+    def rows_and_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """a_n(t) and a_n'(t) for every window depth; each t is evaluated once."""
+        if t not in self._evaluated:
+            self.evaluations += 1
+            sums, slopes = zip(*(logsumexp_slope(lds, t, mult) for lds, mult in self.lds))
+            sums, slopes = self.trees.per_depth_slopes(sums, slopes, t)
+            self._evaluated[t] = (sums / self.n_values, slopes / self.n_values)
+        return self._evaluated[t]
+
+    def slope_floor(self) -> float:
+        """min_n leaf_log_min_n / n: every window row falls at least this fast in t."""
+        return float(np.min(self.leaf_log_min / self.n_values))
 
     def bracket(self) -> tuple[float, float]:
         # a_n is >= log2 - t*maxL/n and <= log2 - t*minL/n, so every row is
@@ -248,6 +282,19 @@ class _WindowPressure:
         left = float(np.min(self.n_values * LOG2 / self.leaf_log_max))
         right = float(np.max(self.n_values * LOG2 / self.leaf_log_min))
         return left, right
+
+
+def _envelope(wp: _WindowPressure, which: str, t: float) -> tuple[float, float]:
+    """The windowed estimate at t and the Newton point of its supporting row.
+
+    lower: min_n a_n(t) and min_n (t - a_n/a_n').  upper: max_n a_n(t) and the
+    Newton point of the argmax row.
+    """
+    rows, slopes = wp.rows_and_slopes(t)
+    if which == "lower":
+        return float(np.min(rows)), float(np.min(t - rows / slopes))
+    k = int(np.argmax(rows))
+    return float(rows[k]), float(t - rows[k] / slopes[k])
 
 
 def bowen_zero(
@@ -260,13 +307,22 @@ def bowen_zero(
     metric: str = PLANAR,
     _cache: "_WindowPressure | None" = None,
 ) -> BowenZero:
-    """Bisect the windowed pressure estimate to residual <= tol.
+    """Root the windowed pressure estimate to residual <= tol by safeguarded Newton steps.
 
     which="lower" roots min_n a_n (Hausdorff side), which="upper" roots
     max_n a_n (packing side).  The starting bracket [n log2/maxL, n log2/minL]
-    straddles zero by the operator-value bracket; the reported t-uncertainty
-    is tol divided by the slope floor log(80/3).  A tol the float resolution
-    of a_n cannot reach raises ValueError once no float lies strictly inside
+    straddles zero by the operator-value bracket, and the iteration starts at
+    its left end.  Every row a_n is decreasing and convex, so from a point
+    where the estimate is positive the Newton point of each row stays at or
+    below that row's zero: the least of them (lower) stays at or below the
+    zero of min_n a_n, and the argmax row's (upper) at or below the zero of
+    the convex max_n a_n.  Each step is taken from the bracket's left end; a
+    Newton point not strictly inside the bracket, or one that did not halve
+    the residual it stepped from, is replaced by a bisection step.  The slope
+    of either estimate is at least s_min = min_n leaf_log_min_n / n in
+    magnitude, so the reported t-uncertainty is tol / min(log(80/3), s_min).
+    A tol the float resolution of a_n cannot reach raises
+    UnreachableTolerance (a ValueError) once no float lies strictly inside
     the bracket.
     """
     if which not in ("lower", "upper"):
@@ -276,38 +332,41 @@ def bowen_zero(
     if isinstance(window, int):
         window = (window, window)
     wp = _cache if _cache is not None else _WindowPressure(seq, window, j, anchor, metric)
-    reduce = np.min if which == "lower" else np.max
 
     lo, hi = wp.bracket()
-    f_lo = float(reduce(wp.rows(lo)))
-    f_hi = float(reduce(wp.rows(hi)))
+    f_lo, newton = _envelope(wp, which, lo)
+    f_hi, _ = _envelope(wp, which, hi)
     if not (f_lo >= 0.0 >= f_hi):
         raise BracketFailure(
             f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
         )
-    best = min(abs(f_lo), abs(f_hi))
-    while True:
-        t_mid = 0.5 * (lo + hi)
-        f_mid = float(reduce(wp.rows(t_mid)))
-        if abs(f_mid) <= tol:
-            break
-        best = min(best, abs(f_mid))
-        if not lo < t_mid < hi:
-            raise ValueError(
-                f"tol {tol:g} is below the float resolution of the pressure: the bracket "
-                f"[{lo!r}, {hi!r}] holds no float inside, smallest residual reached {best:.3g}"
-            )
-        if f_mid > 0.0:
-            lo = t_mid
+    t, f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    best, use_newton = abs(f), True
+    while abs(f) > tol:
+        stepped = use_newton and lo < newton < hi
+        if stepped:
+            t = newton
         else:
-            hi = t_mid
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                raise UnreachableTolerance(
+                    f"tol {tol:g} is below the float resolution of the pressure: the bracket "
+                    f"[{lo!r}, {hi!r}] holds no float inside, smallest residual reached {best:.3g}"
+                )
+        f, t_newton = _envelope(wp, which, t)
+        best = min(best, abs(f))
+        use_newton = not stepped or abs(f) <= 0.5 * f_lo
+        if f > 0.0:
+            lo, f_lo, newton = t, f, t_newton
+        else:
+            hi = t
     return BowenZero(
-        t_star=t_mid,
+        t_star=t,
         which=which,
         window=(int(window[0]), int(window[1])),
-        residual=f_mid,
+        residual=f,
         bracket=wp.bracket(),
-        uncertainty=tol / _SLOPE_FLOOR,
+        uncertainty=tol / min(_SLOPE_FLOOR, wp.slope_floor()),
         evaluations=wp.evaluations,
     )
 

@@ -21,6 +21,18 @@ from .orbits import PLANAR, iter_leaf_blocks, julia_cloud
 from .sequences import SequenceSpec, at
 
 
+def _logsumexp(values: np.ndarray, multiplicity: int, out: np.ndarray | None = None):
+    """(log(multiplicity * sum(exp(values))), w, sum(w)) with w = exp(values - max(values)).
+
+    w is written into `out` when given (which may be `values` itself).
+    """
+    m = float(np.max(values))
+    w = np.subtract(values, m, out=out)
+    np.exp(w, out=w)
+    total = float(np.sum(w))
+    return m + math.log(multiplicity * total), w, total
+
+
 def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
     """log(multiplicity * sum(exp(values))) of a 1-D array, max-shifted for stability.
 
@@ -29,8 +41,21 @@ def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
     at least 128 values: numpy's pairwise sum splits such an array exactly at
     its half, and doubling is exact.  Smaller trees can differ in the last ulp.
     """
-    m = float(np.max(values))
-    return m + math.log(multiplicity * float(np.sum(np.exp(values - m))))
+    return _logsumexp(values, multiplicity)[0]
+
+
+def logsumexp_slope(
+    log_derivs: np.ndarray, t: float, multiplicity: int = 1
+) -> tuple[float, float]:
+    """logsumexp(log_derivs * -t, multiplicity) and its derivative in t.
+
+    The value is bit-identical to logsumexp's; the derivative is
+    -sum(w * ld) / sum(w) for the same shifted exponentials w, which are
+    formed in place in the one array log_derivs * -t.
+    """
+    values = log_derivs * -t
+    value, w, total = _logsumexp(values, multiplicity, out=values)
+    return value, -float(np.dot(w, log_derivs)) / total
 
 
 @dataclass(frozen=True)

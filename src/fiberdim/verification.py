@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import family
+from .errors import UnreachableTolerance
 from .orbits import (
     check_depth,
     composed_forward_residual,
@@ -369,7 +370,7 @@ def check_pressure_window_monotonic(seq: SequenceSpec, depth: int) -> CheckResul
     )
 
 
-def check_pressure_bisection(seq: SequenceSpec, depth: int, tol: float) -> CheckResult:
+def check_pressure_refinement(seq: SequenceSpec, depth: int, tol: float) -> CheckResult:
     hi = min(depth, 12)
     window = (max(2, hi - 4), hi)
     coarse = bowen_zero(seq, "lower", window, tol)
@@ -377,7 +378,7 @@ def check_pressure_bisection(seq: SequenceSpec, depth: int, tol: float) -> Check
     drift = abs(coarse.t_star - fine.t_star)
     ok = drift <= coarse.uncertainty + fine.uncertainty
     return _result(
-        "pressure.bisection_refinement",
+        "pressure.root_refinement",
         ok,
         f"10x finer rerun moved t* by {drift:.3e} <= certified {coarse.uncertainty:.3e}",
     )
@@ -453,7 +454,7 @@ def run_all(
         ("pressure.slope_bracket", lambda: check_pressure_slope_bracket(seq, depth)),
         ("pressure.shape", lambda: check_pressure_shape(seq, depth)),
         ("pressure.window_monotonicity", lambda: check_pressure_window_monotonic(seq, depth)),
-        ("pressure.bisection_refinement", lambda: check_pressure_bisection(seq, depth, tol)),
+        ("pressure.root_refinement", lambda: check_pressure_refinement(seq, depth, tol)),
         ("experiments.sandwich", lambda: check_experiments_sandwich(seq, depth)),
         ("experiments.antisymmetry", lambda: check_experiments_antisymmetry(seq, depth)),
         ("experiments.gap_order", lambda: check_experiments_gap_order(seq, depth, tol)),
@@ -462,6 +463,8 @@ def run_all(
     for name, fn in checks:
         try:
             results.append(fn())
+        except UnreachableTolerance:  # a usage error found only when a root is refined
+            raise
         except Exception as exc:  # surface the failure, keep the suite running
             results.append(CheckResult(name, False, f"raised {type(exc).__name__}: {exc}"))
     return results

@@ -148,11 +148,13 @@ def test_usage_errors(tmp_path, capsys):
         ["verify", "--seq", "const:50", "--depth", "27"],
         ["verify", "--seq", "const:50", "--tol", "inf"],
         ["verify", "--seq", "const:50", "--tol", "nan"],
+        # a tol below the float resolution of a_n, found while refining a Bowen zero
+        ["verify", "--seq", "const:50", "--depth", "8", "--tol", "1e-20"],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err
     # rejected without output: a box depth under 1000 points or above the cap, and a
-    # tol below the float resolution of a_n (found when the bisection bracket runs out)
+    # tol below the float resolution of a_n (found when the root bracket runs out)
     out = tmp_path / "roots.csv"
     for args in (
         ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "9"],

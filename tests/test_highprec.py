@@ -6,7 +6,15 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from fiberdim import Constant, Periodic, at, iter_leaf_blocks, operator_power
+from fiberdim import (
+    Constant,
+    Periodic,
+    RandomAnnulus,
+    at,
+    dimension_pair,
+    iter_leaf_blocks,
+    operator_power,
+)
 
 mp.mp.dps = 50
 
@@ -54,6 +62,40 @@ def test_operator_sum_complex_parameters():
     reference = mp.log(_hp_operator_sum(params, 0.3))
     mine = operator_power(seq, 0, n, [0.3])[0].log_value
     assert abs(float(reference) - mine) <= 1e-13
+
+
+def _hp_leaf_log_derivs(params, spherical=False, anchor=1):
+    """log |(f^n)'| at every depth-n leaf, planar or spherically rescaled, to 50 digits."""
+    n = len(params)
+    out = []
+    for idx in range(2**n):
+        orbit = _hp_leaf(params, [(idx >> (n - 1 - k)) & 1 for k in range(n)], anchor)
+        deriv = mp.mpf(1)
+        for k in range(n):
+            deriv *= abs(mp.mpmathify(params[k]) * orbit[k])
+        if spherical:  # the conformal factors (1+|z_k|^2)/(1+|z_{k+1}|^2) telescope
+            deriv *= (1 + abs(orbit[0]) ** 2) / (1 + abs(orbit[n]) ** 2)
+        out.append(mp.log(deriv))
+    return out
+
+
+@pytest.mark.parametrize(
+    "seq", [Constant(50), Periodic((50, 60 + 10j, -45)), RandomAnnulus(seed=5)], ids=format
+)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_bowen_zeros_against_50_digits(seq, metric):
+    # Every a_n is decreasing, so min_n a_n and max_n a_n vanish at the least and the
+    # largest of the per-depth zeros, found here by mpmath's own root finder.
+    window, tol = (4, 8), 1e-10
+    params = [at(seq, k) for k in range(1, window[1] + 1)]
+    zeros = []
+    for n in range(window[0], window[1] + 1):
+        lds = _hp_leaf_log_derivs(params[:n], metric == "spherical")
+        log_sum = lambda t: mp.log(mp.fsum(mp.exp(-t * ld) for ld in lds))
+        zeros.append(mp.findroot(log_sum, mp.log(2) * n / lds[0]))
+    lower, upper = dimension_pair(seq, window, tol, metric=metric)
+    assert abs(lower.t_star - float(min(zeros))) <= lower.uncertainty
+    assert abs(upper.t_star - float(max(zeros))) <= upper.uncertainty
 
 
 def test_leaf_positions_against_50_digits():

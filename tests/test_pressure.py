@@ -9,10 +9,12 @@ from fiberdim import (
     Constant,
     Periodic,
     RandomAnnulus,
+    UnreachableTolerance,
     bowen_zero,
     default_window,
     dimension_pair,
     leaf_log_derivs,
+    logsumexp,
     operator_power,
     pressure_curve,
     write_pressure_csv,
@@ -80,12 +82,81 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
         assert abs(window.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
     t = 0.23
     want_rows = [operator_power(seq, j, n, [t], anchor, metric)[0].log_value / n for n in depths]
-    assert np.abs(window.rows(t) - want_rows).max() <= 1e-13
+    rows, _ = window.rows_and_slopes(t)
+    assert np.abs(rows - want_rows).max() <= 1e-13
     want_bracket = (
         min(n * LOG2 / stats[n].leaf_log_max for n in depths),
         max(n * LOG2 / stats[n].leaf_log_min for n in depths),
     )
     assert window.bracket() == pytest.approx(want_bracket, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
+    # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its own trees
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
+    window = _WindowPressure(MIXED, (4, 10), 0, anchor, metric)
+    depths = range(4, 11)
+    direct = [leaf_log_derivs(MIXED, 0, n, anchor, metric)[0] for n in depths]
+    for t in (0.0, 0.18, 0.4):
+        rows, slopes = window.rows_and_slopes(t)
+        sums = [logsumexp(lds * -t, mult) for lds, mult in window.lds]
+        want_rows = window.trees.per_depth(sums, np.logaddexp, -t) / window.n_values
+        assert np.array_equal(rows, want_rows)
+        for slope, n, lds in zip(slopes, depths, direct):
+            w = np.exp(lds * -t - np.max(lds * -t))
+            want = -math.fsum(w * lds) / math.fsum(w) / n
+            assert slope == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def _bisection_zero(window, reduce, bracket, tol):
+    """Test-local bisection of reduce(a_n(t)) to residual <= tol, on the solver's rows."""
+    lo, hi = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = float(reduce(window.rows_and_slopes(mid)[0]))
+        if abs(f) <= tol:
+            return mid
+        lo, hi = (mid, hi) if f > 0 else (lo, mid)
+    raise AssertionError("bisection oracle did not converge")
+
+
+@pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_newton_zeros_match_bisection_oracle(seq, metric):
+    tol = 1e-10
+    window = _WindowPressure(seq, (8, 12), 0, 1.0, metric)
+    for zero, reduce in zip(dimension_pair(seq, (8, 12), tol, metric=metric), (np.min, np.max)):
+        assert abs(zero.residual) <= tol
+        want = _bisection_zero(window, reduce, zero.bracket, tol / 100)
+        assert abs(zero.t_star - want) <= zero.uncertainty
+
+
+def test_newton_evaluation_count():
+    # both zeros share one window cache: its evaluations are the pair's total
+    lower, upper = dimension_pair(CONST50, (8, 12), tol=1e-10)
+    assert lower.evaluations <= upper.evaluations <= 10
+    assert max(abs(lower.residual), abs(upper.residual)) <= 1e-10
+
+
+def test_uncertainty_uses_the_slope_floor():
+    # spherical steps from -4/3 under |l| = 40.001 fall below log(80/3)
+    seq, window, anchor, tol = Constant(40.001), (1, 3), -4 / 3, 1e-6
+    s_min = min(
+        leaf_log_derivs(seq, 0, n, anchor, "spherical")[1].leaf_log_min / n
+        for n in range(window[0], window[1] + 1)
+    )
+    assert s_min < math.log(80 / 3)
+    wp = _WindowPressure(seq, window, 0, anchor, "spherical")
+    for zero, reduce in zip(
+        dimension_pair(seq, window, tol, anchor=anchor, metric="spherical"), (np.min, np.max)
+    ):
+        assert zero.uncertainty == pytest.approx(tol / s_min, rel=1e-12, abs=0)
+        want = _bisection_zero(wp, reduce, zero.bracket, tol / 100)
+        assert abs(zero.t_star - want) <= zero.uncertainty
+    # planar steps are at least log(80/3): the claim is tol / log(80/3) exactly
+    assert bowen_zero(CONST50, "upper", (4, 6), tol).uncertainty == tol / math.log(80 / 3)
 
 
 def test_default_window():
@@ -183,7 +254,7 @@ def test_validation_errors():
         bowen_zero(CONST50, "middle", (4, 8))
     with pytest.raises(ValueError):
         bowen_zero(CONST50, "lower", (4, 8), tol=0.0)
-    with pytest.raises(ValueError, match="below the float resolution"):
+    with pytest.raises(UnreachableTolerance, match="below the float resolution"):
         bowen_zero(CONST50, "lower", (4, 6), tol=1e-20)
 
 
