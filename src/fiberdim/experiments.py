@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SandwichViolation
 from .orbits import iter_leaf_blocks, leaf_log_derivs, word_of
 from .parallel import run_jobs
-from .pressure import dimension_pair, log_operator_sums
+from .pressure import WindowPressure, dimension_pair, log_operator_sums
 from .sequences import (
     PerturbedSequence,
     SequenceSpec,
@@ -32,7 +32,6 @@ from .sequences import (
     delta_linear_bound,
     format_sequence,
 )
-from .transfer import logsumexp
 
 _FLOAT_SLACK = 1e-9
 
@@ -80,41 +79,48 @@ def sandwich_check(
     n_max: int,
     anchor: complex = 1.0 + 0.0j,
     j: int = 0,
-    n_min: int = 1,
-    raise_on_violation: bool = True,
 ) -> PerturbationReport:
     """Exact finite-depth comparison of base and perturbed pressure terms.
 
     Verifies, for every n <= n_max, the operator-level inequality above and
     the leaf-level form |log_deriv_pert - log_deriv_base - x S_n| <= n|x|/2
-    over all leaves.  A violation (beyond float slack) is an implementation
-    bug and raises SandwichViolation naming the offending leaf.
+    over all leaves, on one WindowPressure per sequence.  From anchor 1 the
+    depth-n leaves are the depth-(n-1) ones and W_n's, one step on, and x
+    shifts that step by exactly x s_{j+n}: so slack(n) = max(slack(n-1) -
+    |x|/2, slack over W_n), and W_n's leaf w is the depth-n leaf w1; other
+    anchors use their own depth-n trees.  A violation beyond float slack is a
+    bug: SandwichViolation names the worst leaf of the first failing depth.
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("sandwich_check requires a finite t > 0")
     pert = PerturbedSequence(base, schedule, x)
+    caches = [WindowPressure(seq, (1, n_max), j, anchor) for seq in (base, pert)]
+    a_base, a_pert = (cache.rows_and_slopes(t)[0].tolist() for cache in caches)
+    # signs entering fiber j are s_{j+1}, ..., s_{j+n}
+    offset = cesaro_sum(schedule, j)[0] if j else 0
+    sign_sums = [0] + [cesaro_sum(schedule, j + n)[0] - offset for n in range(1, n_max + 1)]
+    recurrence = caches[0].trees.log_l is not None
     rows = []
+    slack, word = 0.0, ""  # the depth-0 tree from 1: one leaf, both log-derivatives 0
     leaf_slack_max = -math.inf
-    for n in range(n_min, n_max + 1):
-        lds_base, _ = leaf_log_derivs(base, j, n, anchor)
-        lds_pert, _ = leaf_log_derivs(pert, j, n, anchor)
-        # signs entering fiber j are s_{j+1}, ..., s_{j+n}
-        s_n = cesaro_sum(schedule, j + n)[0] - (cesaro_sum(schedule, j)[0] if j else 0)
-        a_base = logsumexp(lds_base * -t, 2) / n  # each value stands for two leaves
-        a_pert = logsumexp(lds_pert * -t, 2) / n
-        residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2.0
-        rows.append(SandwichRow(n, s_n, a_base, a_pert, residual))
+    for n, (lds_base, _), (lds_pert, _) in zip(range(1, n_max + 1), *(c.lds for c in caches)):
+        s_n = sign_sums[n]
+        residual = abs(a_pert[n - 1] - (a_base[n - 1] - t * x * s_n / n)) - t * abs(x) / 2.0
+        rows.append(SandwichRow(n, s_n, a_base[n - 1], a_pert[n - 1], residual))
 
-        leaf_gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2.0
-        worst_idx = int(np.argmax(leaf_gap))
-        leaf_slack_max = max(leaf_slack_max, float(leaf_gap[worst_idx]))
-        if raise_on_violation and (
-            residual > _FLOAT_SLACK or leaf_gap[worst_idx] > _FLOAT_SLACK
-        ):
+        s_tree = sign_sums[n - 1] if recurrence else s_n  # the signs of the tree's own steps
+        leaf_gap = np.abs(lds_pert - lds_base - x * s_tree) - n * abs(x) / 2.0
+        k = int(np.argmax(leaf_gap))
+        if not recurrence:
+            slack, word = float(leaf_gap[k]), word_of(k, n)
+        elif leaf_gap[k] > slack - abs(x) / 2.0:
+            slack, word = float(leaf_gap[k]), word_of(k, n - 1) + "1"
+        else:
+            slack, word = slack - abs(x) / 2.0, word + "0"
+        leaf_slack_max = max(leaf_slack_max, slack)
+        if residual > _FLOAT_SLACK or slack > _FLOAT_SLACK:
             raise SandwichViolation(
-                n,
-                word_of(worst_idx, n),
-                f"(operator slack {residual:.3e}, leaf slack {float(leaf_gap[worst_idx]):.3e})",
+                n, word, f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
             )
     return PerturbationReport(
         base_id=format_sequence(base),

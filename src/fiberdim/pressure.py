@@ -27,15 +27,17 @@ Any other anchor is reduced over its own depth-n trees.  The recurrence adds
 the same terms in another order than a direct depth-n sum, so a_n can differ
 from it in the last ulp.
 
-Every pressure curve and kink scan goes through log_operator_sums: each tree
-is split at its innermost levels into subtrees of at most 2**_BLOCK_LOG2
-leaves (orbits.subtrees), each subtree is one job reduced at every t with
-transfer.logsumexp, and jobs are combined with logaddexp in job order, so
-the result does not depend on the worker count.
+One tree plan: _Trees splits each tree at its innermost levels into subtree
+jobs of at most 2**_BLOCK_LOG2 leaves (orbits.subtrees).  log_operator_sums
+reduces each job at every t and combines jobs with logaddexp in job order, so
+the result does not depend on the worker count.  WindowPressure, which holds
+the zero finder, runs the same jobs serially into word-ordered trees (subtree
+k of s fills indices k, k + s, ..., as its root carries the inner word bits);
+ld0 + subtree value can differ from a direct traversal in the last ulp.
 
 Every reduction runs over half a tree: the leaves 0w and 1w have the same
 log-derivative (the first-bit identity in orbits.py), so subtree jobs and
-cached W_n hold the 2**(depth-1) values of orbits.leaf_log_derivs, which
+cached trees hold the 2**(depth-1) values of orbits.leaf_log_derivs, which
 transfer.logsumexp counts twice.
 """
 
@@ -60,7 +62,9 @@ _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 class _Trees:
     """The trees whose leaf sums give log L^n 1(anchor) at fiber j for n_lo <= n <= n_hi."""
 
-    def __init__(self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex):
+    def __init__(
+        self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex, metric: str
+    ):
         n_lo, n_hi = int(n_range[0]), int(n_range[1])
         if not 1 <= n_lo <= n_hi:
             raise ValueError("need 1 <= n_min <= n_max")
@@ -72,6 +76,11 @@ class _Trees:
         else:
             self.roots = [(n, complex(anchor)) for n in range(n_lo, n_hi + 1)]
             self.log_l = None
+        self.jobs = [  # (tree index, subtree index, job args) per subtree, in tree order
+            (i, k, (seq, j, sub_depth, sub_root, metric, ld0))
+            for i, (depth, root) in enumerate(self.roots)
+            for k, (sub_depth, sub_root, ld0) in enumerate(subtrees(seq, j, depth, root, metric))
+        ]
 
     def per_depth(self, values, combine, scale=1.0) -> np.ndarray:
         """Per-depth values for n_lo..n_hi from per-tree ones.
@@ -117,7 +126,7 @@ def _multiplicity(depth: int) -> int:
 
 def _subtree_sums(args):
     """Log sums at every t, and leaf extremes, of one subtree shifted by its root's log-derivative."""
-    seq, j, depth, root, ld0, metric, t_grid = args
+    seq, j, depth, root, metric, ld0, t_grid = args
     lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
     mult = _multiplicity(depth)
     sums = np.array([logsumexp(lds * -t, mult) for t in t_grid]) - np.asarray(t_grid) * ld0
@@ -138,17 +147,13 @@ def log_operator_sums(
     Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
     one column per t; the extremes are those of the depth-n leaf log-derivatives.
     """
-    trees = _Trees(seq, j, n_range, anchor)
+    trees = _Trees(seq, j, n_range, anchor, metric)
     t_grid = tuple(float(t) for t in t_grid)
-    jobs, owners = [], []
-    for i, (depth, root) in enumerate(trees.roots):
-        for sub_depth, sub_root, ld0 in subtrees(seq, j, depth, root, metric):
-            jobs.append((seq, j, sub_depth, sub_root, ld0, metric, t_grid))
-            owners.append(i)
+    jobs = [(*args, t_grid) for _, _, args in trees.jobs]
     sums = np.full((len(trees.roots), len(t_grid)), -np.inf)
     lo = np.full(len(trees.roots), np.inf)
     hi = np.full(len(trees.roots), -np.inf)
-    for i, (s, a, b) in zip(owners, run_jobs(_subtree_sums, jobs, workers)):
+    for (i, _, _), (s, a, b) in zip(trees.jobs, run_jobs(_subtree_sums, jobs, workers)):
         sums[i] = np.logaddexp(sums[i], s)
         lo[i] = min(lo[i], a)
         hi[i] = max(hi[i], b)
@@ -244,22 +249,23 @@ class BowenZero:
     evaluations: int
 
 
-class _WindowPressure:
-    """Cached leaf log-derivatives for one window of depths; evaluates a_n(t) on it."""
+class WindowPressure:
+    """The half trees of one window of depths in word order; evaluates and roots a_n(t) on them."""
 
-    def __init__(self, seq, window, j, anchor, metric):
+    def __init__(self, seq, window, j=0, anchor=1.0 + 0.0j, metric=PLANAR):
+        if isinstance(window, int):
+            window = (window, window)
         w_lo, w_hi = int(window[0]), int(window[1])
-        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
+        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor, metric)
         self.n_values = np.arange(w_lo, w_hi + 1)
-        self.lds = []  # (half tree, multiplicity) per tree
-        mins, maxs = [], []
-        for depth, root in self.trees.roots:
-            lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
-            self.lds.append((lds, _multiplicity(depth)))
-            mins.append(stats.leaf_log_min)
-            maxs.append(stats.leaf_log_max)
-        self.leaf_log_min = self.trees.per_depth(mins, min)
-        self.leaf_log_max = self.trees.per_depth(maxs, max)
+        halves = [np.empty((1 << depth) // _multiplicity(depth)) for depth, _ in self.trees.roots]
+        for i, k, (*tree, ld0) in self.trees.jobs:  # subtree k of s fills indices k, k + s, ...
+            sub, _ = leaf_log_derivs(*tree)
+            np.add(sub, ld0, out=halves[i][k :: halves[i].size // sub.size])
+        self.lds = [(h, _multiplicity(d)) for h, (d, _) in zip(halves, self.trees.roots)]
+        # fl(x + ld0) is monotone in x, so these are the subtree extremes plus ld0
+        self.leaf_log_min = self.trees.per_depth([float(h.min()) for h in halves], min)
+        self.leaf_log_max = self.trees.per_depth([float(h.max()) for h in halves], max)
         self.evaluations = 0
         self._evaluated = {}
 
@@ -272,10 +278,6 @@ class _WindowPressure:
             self._evaluated[t] = (sums / self.n_values, slopes / self.n_values)
         return self._evaluated[t]
 
-    def slope_floor(self) -> float:
-        """min_n leaf_log_min_n / n: every window row falls at least this fast in t."""
-        return float(np.min(self.leaf_log_min / self.n_values))
-
     def bracket(self) -> tuple[float, float]:
         # a_n is >= log2 - t*maxL/n and <= log2 - t*minL/n, so every row is
         # nonnegative left of n log2 / maxL and nonpositive right of n log2 / minL.
@@ -283,18 +285,68 @@ class _WindowPressure:
         right = float(np.max(self.n_values * LOG2 / self.leaf_log_min))
         return left, right
 
+    def zero(self, which: str, tol: float) -> BowenZero:
+        """Root the windowed estimate to residual <= tol by safeguarded Newton steps.
 
-def _envelope(wp: _WindowPressure, which: str, t: float) -> tuple[float, float]:
-    """The windowed estimate at t and the Newton point of its supporting row.
+        which="lower" roots min_n a_n (Hausdorff side), which="upper" roots
+        max_n a_n (packing side); bowen_zero and dimension_pair check which
+        and tol before any tree is built.  The starting bracket
+        [n log2/maxL, n log2/minL] straddles zero by the operator-value
+        bracket.  Each step is taken from the bracket's left end, where the
+        estimate is positive, so by convexity (module docstring) the Newton
+        point of the least row (lower) or of the argmax row (upper) never
+        passes the zero; one not strictly inside the bracket, or one that did
+        not halve the residual it stepped from, is replaced by a bisection
+        step.  The t-uncertainty is tol over the slope floor.  A tol the
+        float resolution of a_n cannot reach raises UnreachableTolerance (a
+        ValueError) once no float lies strictly inside the bracket.
+        """
 
-    lower: min_n a_n(t) and min_n (t - a_n/a_n').  upper: max_n a_n(t) and the
-    Newton point of the argmax row.
-    """
-    rows, slopes = wp.rows_and_slopes(t)
-    if which == "lower":
-        return float(np.min(rows)), float(np.min(t - rows / slopes))
-    k = int(np.argmax(rows))
-    return float(rows[k]), float(t - rows[k] / slopes[k])
+        def envelope(t: float) -> tuple[float, float]:
+            # the estimate at t and the Newton point of its supporting row(s)
+            rows, slopes = self.rows_and_slopes(t)
+            if which == "lower":
+                return float(np.min(rows)), float(np.min(t - rows / slopes))
+            k = int(np.argmax(rows))
+            return float(rows[k]), float(t - rows[k] / slopes[k])
+
+        lo, hi = self.bracket()
+        f_lo, newton = envelope(lo)
+        f_hi, _ = envelope(hi)
+        if not (f_lo >= 0.0 >= f_hi):
+            raise BracketFailure(
+                f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
+            )
+        t, f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+        best, use_newton = abs(f), True
+        while abs(f) > tol:
+            stepped = use_newton and lo < newton < hi
+            if stepped:
+                t = newton
+            else:
+                t = 0.5 * (lo + hi)
+                if not lo < t < hi:
+                    raise UnreachableTolerance(
+                        f"tol {tol:g} is below the float resolution of the pressure: the "
+                        f"bracket [{lo!r}, {hi!r}] holds no float inside, smallest residual "
+                        f"reached {best:.3g}"
+                    )
+            f, t_newton = envelope(t)
+            best = min(best, abs(f))
+            use_newton = not stepped or abs(f) <= 0.5 * f_lo
+            if f > 0.0:
+                lo, f_lo, newton = t, f, t_newton
+            else:
+                hi = t
+        return BowenZero(
+            t_star=t,
+            which=which,
+            window=(int(self.n_values[0]), int(self.n_values[-1])),
+            residual=f,
+            bracket=self.bracket(),
+            uncertainty=tol / min(_SLOPE_FLOOR, float(np.min(self.leaf_log_min / self.n_values))),
+            evaluations=self.evaluations,
+        )
 
 
 def bowen_zero(
@@ -305,70 +357,13 @@ def bowen_zero(
     j: int = 0,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-    _cache: "_WindowPressure | None" = None,
 ) -> BowenZero:
-    """Root the windowed pressure estimate to residual <= tol by safeguarded Newton steps.
-
-    which="lower" roots min_n a_n (Hausdorff side), which="upper" roots
-    max_n a_n (packing side).  The starting bracket [n log2/maxL, n log2/minL]
-    straddles zero by the operator-value bracket, and the iteration starts at
-    its left end.  Every row a_n is decreasing and convex, so from a point
-    where the estimate is positive the Newton point of each row stays at or
-    below that row's zero: the least of them (lower) stays at or below the
-    zero of min_n a_n, and the argmax row's (upper) at or below the zero of
-    the convex max_n a_n.  Each step is taken from the bracket's left end; a
-    Newton point not strictly inside the bracket, or one that did not halve
-    the residual it stepped from, is replaced by a bisection step.  The slope
-    of either estimate is at least s_min = min_n leaf_log_min_n / n in
-    magnitude, so the reported t-uncertainty is tol / min(log(80/3), s_min).
-    A tol the float resolution of a_n cannot reach raises
-    UnreachableTolerance (a ValueError) once no float lies strictly inside
-    the bracket.
-    """
+    """Root the windowed pressure estimate to residual <= tol (see WindowPressure.zero)."""
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
     if not 0 < tol < math.inf:  # also rejects NaN
         raise ValueError("tol must be finite and > 0")
-    if isinstance(window, int):
-        window = (window, window)
-    wp = _cache if _cache is not None else _WindowPressure(seq, window, j, anchor, metric)
-
-    lo, hi = wp.bracket()
-    f_lo, newton = _envelope(wp, which, lo)
-    f_hi, _ = _envelope(wp, which, hi)
-    if not (f_lo >= 0.0 >= f_hi):
-        raise BracketFailure(
-            f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
-        )
-    t, f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    best, use_newton = abs(f), True
-    while abs(f) > tol:
-        stepped = use_newton and lo < newton < hi
-        if stepped:
-            t = newton
-        else:
-            t = 0.5 * (lo + hi)
-            if not lo < t < hi:
-                raise UnreachableTolerance(
-                    f"tol {tol:g} is below the float resolution of the pressure: the bracket "
-                    f"[{lo!r}, {hi!r}] holds no float inside, smallest residual reached {best:.3g}"
-                )
-        f, t_newton = _envelope(wp, which, t)
-        best = min(best, abs(f))
-        use_newton = not stepped or abs(f) <= 0.5 * f_lo
-        if f > 0.0:
-            lo, f_lo, newton = t, f, t_newton
-        else:
-            hi = t
-    return BowenZero(
-        t_star=t,
-        which=which,
-        window=(int(window[0]), int(window[1])),
-        residual=f,
-        bracket=wp.bracket(),
-        uncertainty=tol / min(_SLOPE_FLOOR, wp.slope_floor()),
-        evaluations=wp.evaluations,
-    )
+    return WindowPressure(seq, window, j, anchor, metric).zero(which, tol)
 
 
 def dimension_pair(
@@ -379,13 +374,11 @@ def dimension_pair(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
 ) -> tuple[BowenZero, BowenZero]:
-    """(lower, upper) windowed Bowen zeros; lower.t_star <= upper.t_star always."""
-    if isinstance(window, int):
-        window = (window, window)
-    cache = _WindowPressure(seq, window, j, anchor, metric)
-    lower = bowen_zero(seq, "lower", window, tol, j, anchor, metric, _cache=cache)
-    upper = bowen_zero(seq, "upper", window, tol, j, anchor, metric, _cache=cache)
-    return lower, upper
+    """(lower, upper) windowed Bowen zeros of one cache; lower.t_star <= upper.t_star always."""
+    if not 0 < tol < math.inf:  # checked before any tree is built, as in bowen_zero
+        raise ValueError("tol must be finite and > 0")
+    cache = WindowPressure(seq, window, j, anchor, metric)
+    return cache.zero("lower", tol), cache.zero("upper", tol)
 
 
 def write_pressure_csv(curve: PressureCurve, stream) -> None:

@@ -27,7 +27,7 @@ from .orbits import (
 )
 from .experiments import motion_speed_check, sandwich_check
 from .pressure import (
-    bowen_zero,
+    WindowPressure,
     dimension_pair,
     pressure_curve,
     write_pressure_csv,
@@ -372,9 +372,9 @@ def check_pressure_window_monotonic(seq: SequenceSpec, depth: int) -> CheckResul
 
 def check_pressure_refinement(seq: SequenceSpec, depth: int, tol: float) -> CheckResult:
     hi = min(depth, 12)
-    window = (max(2, hi - 4), hi)
-    coarse = bowen_zero(seq, "lower", window, tol)
-    fine = bowen_zero(seq, "lower", window, tol / 10.0)
+    cache = WindowPressure(seq, (max(2, hi - 4), hi))
+    coarse = cache.zero("lower", tol)
+    fine = cache.zero("lower", tol / 10.0)
     drift = abs(coarse.t_star - fine.t_star)
     ok = drift <= coarse.uncertainty + fine.uncertainty
     return _result(

@@ -129,7 +129,7 @@ def test_c05_exact_sandwich_grid():
     checked = 0
     for x in (-0.1, -0.05, -0.01, 0.01, 0.05, 0.1):
         for t in (0.1, 0.18):
-            report = sandwich_check(CONST50, SCHEDULE, x, t=t, n_max=20, n_min=2)
+            report = sandwich_check(CONST50, SCHEDULE, x, t=t, n_max=20)
             assert report.passed()  # raises SandwichViolation on any violation
             checked += len(report.rows)
     elapsed = time.monotonic() - start

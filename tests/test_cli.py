@@ -150,6 +150,11 @@ def test_usage_errors(tmp_path, capsys):
         ["verify", "--seq", "const:50", "--tol", "nan"],
         # a tol below the float resolution of a_n, found while refining a Bowen zero
         ["verify", "--seq", "const:50", "--depth", "8", "--tol", "1e-20"],
+        # --workers exists only where jobs fan out (pressure and perturb)
+        ["julia", "--seq", "const:50", "--depth", "2", "--workers", "2"],
+        ["dimension", "--seq", "const:50", "--window", "4:6", "--workers", "2"],
+        ["motion", "--base", "const:50", "--depth", "4", "--workers", "2"],
+        ["verify", "--seq", "const:50", "--depth", "8", "--workers", "2"],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err

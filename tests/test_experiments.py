@@ -16,6 +16,7 @@ from fiberdim import (
     motion_speed_check,
     sandwich_check,
 )
+from fiberdim import experiments, leaf_log_derivs, logsumexp, orbits, word_of
 from fiberdim.sequences import PerturbedSequence
 
 CONST50 = Constant(50)
@@ -78,6 +79,55 @@ def test_sandwich_random_annulus_base():
     base = RandomAnnulus(seed=5, min_mod=45, max_mod=80)  # r = log(45/40) > 0.1
     report = sandwich_check(base, SCHEDULE, 0.1, t=0.18, n_max=12)
     assert report.passed()
+
+
+def _per_depth_sandwich(base, x, t, n_max, anchor, j):
+    """Test-local brute force: both depth-n trees at every n, reduced directly.
+
+    Returns (n, a_base, a_pert, residual, worst leaf slack, its word) per depth.
+    """
+    pert = PerturbedSequence(base, SCHEDULE, x)
+    offset = cesaro_sum(SCHEDULE, j)[0] if j else 0
+    out = []
+    for n in range(1, n_max + 1):
+        lds_base = leaf_log_derivs(base, j, n, anchor)[0]
+        lds_pert = leaf_log_derivs(pert, j, n, anchor)[0]
+        s_n = cesaro_sum(SCHEDULE, j + n)[0] - offset
+        a_base = logsumexp(lds_base * -t, 2) / n  # each value stands for two leaves
+        a_pert = logsumexp(lds_pert * -t, 2) / n
+        residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2
+        gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2
+        k = int(np.argmax(gap))
+        out.append((n, a_base, a_pert, residual, float(gap[k]), word_of(k, n)))
+    return out
+
+
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("j", [0, 3])
+def test_sandwich_matches_per_depth_brute_force(monkeypatch, anchor, j):
+    # subtrees of 2^3 leaves, so every tree deeper than 3 is split into several jobs
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
+    base, x, t, n_max = Periodic((50, 60 + 10j, -45)), 0.1, 0.18, 10
+    brute = _per_depth_sandwich(base, x, t, n_max, anchor, j)
+    report = sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
+    assert [r.n for r in report.rows] == [b[0] for b in brute]
+    for row, (_, a_base, a_pert, residual, _, _) in zip(report.rows, brute):
+        assert abs(row.a_base - a_base) <= 1e-12
+        assert abs(row.a_pert - a_pert) <= 1e-12
+        assert abs(row.residual - residual) <= 1e-12
+    leaf_max = max(b[4] for b in brute)
+    assert abs(report.leaf_slack_max - leaf_max) <= 1e-12
+
+    # a float slack below the brute force's largest leaf slack, and below each
+    # depth's worst value in turn: the first violating (n, word) must agree
+    worst = [max(b[3], b[4]) for b in brute]
+    for slack in [leaf_max - 1e-9] + [v - 1e-9 for v in worst]:
+        assert min(abs(v - slack) for v in worst) > 1e-11  # clear of float noise
+        first = next(b for b, v in zip(brute, worst) if v > slack)
+        monkeypatch.setattr(experiments, "_FLOAT_SLACK", slack)
+        with pytest.raises(SandwichViolation) as err:
+            sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
+        assert (err.value.n, err.value.word) == (first[0], first[5])
 
 
 def test_motion_speed_report():

@@ -21,7 +21,8 @@ from fiberdim import (
     write_roots_csv,
 )
 from fiberdim import orbits
-from fiberdim.pressure import _WindowPressure
+from fiberdim.cli import main
+from fiberdim.pressure import WindowPressure
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -75,7 +76,7 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
         assert abs(curve.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
         assert abs(curve.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
 
-    window = _WindowPressure(seq, (6, 10), j, anchor, metric)
+    window = WindowPressure(seq, (6, 10), j, anchor, metric)
     depths = range(6, 11)
     for i, n in enumerate(depths):
         assert abs(window.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
@@ -84,6 +85,9 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     want_rows = [operator_power(seq, j, n, [t], anchor, metric)[0].log_value / n for n in depths]
     rows, _ = window.rows_and_slopes(t)
     assert np.abs(rows - want_rows).max() <= 1e-13
+    for (depth, root), (half, _) in zip(window.trees.roots, window.lds):  # word order
+        want = leaf_log_derivs(seq, j, depth, root, metric)[0]
+        assert np.allclose(half, want, rtol=1e-12, atol=0)
     want_bracket = (
         min(n * LOG2 / stats[n].leaf_log_max for n in depths),
         max(n * LOG2 / stats[n].leaf_log_min for n in depths),
@@ -96,7 +100,7 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
 def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
     # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its own trees
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
-    window = _WindowPressure(MIXED, (4, 10), 0, anchor, metric)
+    window = WindowPressure(MIXED, (4, 10), 0, anchor, metric)
     depths = range(4, 11)
     direct = [leaf_log_derivs(MIXED, 0, n, anchor, metric)[0] for n in depths]
     for t in (0.0, 0.18, 0.4):
@@ -126,7 +130,7 @@ def _bisection_zero(window, reduce, bracket, tol):
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 def test_newton_zeros_match_bisection_oracle(seq, metric):
     tol = 1e-10
-    window = _WindowPressure(seq, (8, 12), 0, 1.0, metric)
+    window = WindowPressure(seq, (8, 12), 0, 1.0, metric)
     for zero, reduce in zip(dimension_pair(seq, (8, 12), tol, metric=metric), (np.min, np.max)):
         assert abs(zero.residual) <= tol
         want = _bisection_zero(window, reduce, zero.bracket, tol / 100)
@@ -148,7 +152,7 @@ def test_uncertainty_uses_the_slope_floor():
         for n in range(window[0], window[1] + 1)
     )
     assert s_min < math.log(80 / 3)
-    wp = _WindowPressure(seq, window, 0, anchor, "spherical")
+    wp = WindowPressure(seq, window, 0, anchor, "spherical")
     for zero, reduce in zip(
         dimension_pair(seq, window, tol, anchor=anchor, metric="spherical"), (np.min, np.max)
     ):
@@ -275,7 +279,16 @@ def test_csv_formats():
     assert lines[1].startswith("upper,") and lines[1].endswith("4:6")
 
 
-def test_bracket_failure_is_detectable():
-    # the guaranteed bracket always straddles zero for genuine curves, so the
-    # failure path is exercised through the exception type itself
+def test_bracket_failure_is_detectable(monkeypatch, tmp_path, capsys):
+    # The analytic bracket always straddles zero for genuine curves, so a bracket
+    # right of both zeros is forced: the estimate is negative at its left end.
     assert issubclass(BracketFailure, RuntimeError)
+    monkeypatch.setattr(WindowPressure, "bracket", lambda self: (1.5, 1.9))
+    with pytest.raises(BracketFailure, match="do not straddle 0"):
+        bowen_zero(CONST50, "lower", (4, 6))
+    with pytest.raises(BracketFailure, match="do not straddle 0"):
+        dimension_pair(CONST50, (4, 6))
+    out = tmp_path / "roots.csv"
+    assert main(["dimension", "--seq", "const:50", "--window", "4:6", "-o", str(out)]) == 1
+    assert "invariant failure:" in capsys.readouterr().err
+    assert not out.exists()
