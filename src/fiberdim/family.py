@@ -27,8 +27,15 @@ EXPANSION_FLOOR = 80.0 / 3.0
 
 
 def apply(l: complex, z):
-    """Forward map f_l(z) = l/2 (z^2 - 1) + 1."""
-    return l / 2.0 * (z * z - 1.0) + 1.0
+    """Forward map f_l(z) = l/2 (z^2 - 1) + 1, the same bits for any array size.
+
+    The product is formed as l/2 times a named array: numpy rewrites an
+    unnamed temporary of 2**14 or more complex values into an in-place
+    product with the factors swapped, and its complex product is not
+    bitwise commutative.
+    """
+    shifted = z * z - 1.0
+    return l / 2.0 * shifted + 1.0
 
 
 def derivative(l: complex, z):

@@ -53,7 +53,7 @@ from .family import EXPANSION_FLOOR
 from .orbits import PLANAR, check_depth, leaf_log_derivs, subtrees
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
-from .transfer import logsumexp, logsumexp_slope
+from .transfer import logsumexp_grid, logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
@@ -128,8 +128,10 @@ def _subtree_sums(args):
     """Log sums at every t, and leaf extremes, of one subtree shifted by its root's log-derivative."""
     seq, j, depth, root, metric, ld0, t_grid = args
     lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
-    mult = _multiplicity(depth)
-    sums = np.array([logsumexp(lds * -t, mult) for t in t_grid]) - np.asarray(t_grid) * ld0
+    # One buffer serves every t, and the max of each lds * -t is the leaf
+    # minimum times -t (exact: rounding x * -t is monotone in x).
+    sums = logsumexp_grid(lds, t_grid, _multiplicity(depth), stats.leaf_log_min)
+    sums -= np.asarray(t_grid) * ld0
     return sums, stats.leaf_log_min + ld0, stats.leaf_log_max + ld0
 
 

@@ -21,12 +21,15 @@ from .orbits import PLANAR, iter_leaf_blocks, julia_cloud
 from .sequences import SequenceSpec, at
 
 
-def _logsumexp(values: np.ndarray, multiplicity: int, out: np.ndarray | None = None):
+def _logsumexp(
+    values: np.ndarray, multiplicity: int, out: np.ndarray | None = None, top: float | None = None
+):
     """(log(multiplicity * sum(exp(values))), w, sum(w)) with w = exp(values - max(values)).
 
-    w is written into `out` when given (which may be `values` itself).
+    w is written into `out` when given (which may be `values` itself); `top`,
+    when given, must be max(values).
     """
-    m = float(np.max(values))
+    m = float(np.max(values)) if top is None else top
     w = np.subtract(values, m, out=out)
     np.exp(w, out=w)
     total = float(np.sum(w))
@@ -42,6 +45,24 @@ def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
     its half, and doubling is exact.  Smaller trees can differ in the last ulp.
     """
     return _logsumexp(values, multiplicity)[0]
+
+
+def logsumexp_grid(
+    log_derivs: np.ndarray, t_grid, multiplicity: int = 1, log_min: float | None = None
+) -> np.ndarray:
+    """logsumexp(log_derivs * -t, multiplicity) for every t in t_grid, bit for bit, in one buffer.
+
+    The max of log_derivs * -t is log_min * -t with log_min = min(log_derivs)
+    (pass it when known): rounding x * -t is monotone in x, so both are the
+    same float, -0.0 at t = 0.
+    """
+    if log_min is None:
+        log_min = float(np.min(log_derivs))
+    buf = np.empty_like(log_derivs)
+    return np.array([
+        _logsumexp(np.multiply(log_derivs, -t, out=buf), multiplicity, buf, log_min * -t)[0]
+        for t in t_grid
+    ])
 
 
 def logsumexp_slope(
@@ -88,7 +109,7 @@ def operator_power(
         raise ValueError("exponents t must be >= 0")
     sums = np.full(len(t_grid), -np.inf)
     for _, _, lds in iter_leaf_blocks(seq, j, n, anchor, metric):
-        sums = np.logaddexp(sums, [logsumexp(lds * -t) for t in t_grid])
+        sums = np.logaddexp(sums, logsumexp_grid(lds, t_grid))
     return [OperatorValue(t, j, n, float(s), complex(anchor)) for t, s in zip(t_grid, sums)]
 
 

@@ -24,6 +24,17 @@ def test_apply_direct_arithmetic():
     assert apply(50, 4 / 3) == pytest.approx(184 / 9, rel=1e-15)
 
 
+def test_apply_bits_do_not_depend_on_array_size():
+    # The edge residuals of orbits are taken over arrays of any size, so one
+    # point must map to the same bits in a 2**15-value array and in 512-value pieces.
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-4 / 3, 4 / 3, 1 << 15) + 1j * rng.uniform(-1 / 3, 1 / 3, 1 << 15)
+    l = 55.1 + 20j
+    whole = apply(l, z)
+    pieces = np.concatenate([apply(l, piece) for piece in np.split(z, 64)])
+    assert np.array_equal(whole.view(np.uint64), pieces.view(np.uint64))
+
+
 def test_derivative_values():
     assert derivative(50, 1) == 50
     assert derivative(50, -1) == -50

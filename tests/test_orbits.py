@@ -26,6 +26,7 @@ from fiberdim import (
     write_cloud_csv,
 )
 from fiberdim import orbits
+from fiberdim.family import apply
 from fiberdim.cli import main
 from oracles import brute_leaves
 
@@ -296,10 +297,125 @@ JULIA_DEPTH12_POINTS = {
 }
 
 
+# sha256 of the whole CSV (word,re,im,log_deriv) of `fiberdim julia --depth 16`,
+# frozen before the traversal went run-length; from about level 11 on a level
+# holds far fewer distinct points than leaves, and no byte may move
+JULIA_DEPTH16 = {
+    ("const:50", "planar", "1"):
+        "c71415b72b70aaece875437d947943bdc119813ffbf5b813985bb6b44673c8a9",
+    ("random:seed=7,min=45,max=80", "spherical", "-1.05+0.1i"):
+        "e6d948d6db94c9d6cc7d49a447db250313fe1e15d1412e5174790ce5b5faeb2a",
+}
+
+
+def _julia_csv(spec, depth, metric, anchor, capsys) -> str:
+    assert main(["julia", "--seq", spec, "--depth", str(depth), "--metric", metric,
+                 f"--anchor={anchor}"]) == 0
+    return capsys.readouterr().out
+
+
 @pytest.mark.parametrize("spec,metric,anchor", sorted(JULIA_DEPTH12_POINTS))
 def test_julia_points_golden(spec, metric, anchor, capsys):
-    assert main(["julia", "--seq", spec, "--depth", "12", "--metric", metric,
-                 f"--anchor={anchor}"]) == 0
-    rows = capsys.readouterr().out.splitlines(keepends=True)
+    rows = _julia_csv(spec, 12, metric, anchor, capsys).splitlines(keepends=True)
     columns = "".join(row.rsplit(",", 1)[0] + "\n" for row in rows)
     assert hashlib.sha256(columns.encode()).hexdigest() == JULIA_DEPTH12_POINTS[spec, metric, anchor]
+
+
+@pytest.mark.parametrize("spec,metric,anchor", sorted(JULIA_DEPTH16))
+def test_julia_depth16_golden(spec, metric, anchor, capsys):
+    csv = _julia_csv(spec, 16, metric, anchor, capsys)
+    assert hashlib.sha256(csv.encode()).hexdigest() == JULIA_DEPTH16[spec, metric, anchor]
+
+
+def _bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+def _plain_blocks(seq, j, n, anchor, metric, stats=None, verify_edges=False):
+    """Reference: the level loop before run-length levels, every level on every leaf."""
+    params = [at(seq, k) for k in range(j + 1, j + n + 1)]
+    prefix_bits = max(0, n - orbits._BLOCK_LOG2)
+    size = 1 << (n - prefix_bits)
+    pts = np.empty(size, dtype=np.complex128)
+    lds = np.empty(size)
+    pts[0], lds[0] = anchor, 0.0
+
+    def step(l, pts, lds):
+        steps = orbits._step_logs(l, pts, metric, stats)
+        parents = pts.copy()
+        orbits._branch0_root(l, pts)
+        if verify_edges:
+            resid = np.abs(apply(l, pts) - parents)
+            stats.edge_residual_max = max(stats.edge_residual_max, float(resid.max()))
+        lds += steps
+
+    s = 1
+    for m in range(n - 1, prefix_bits - 1, -1):
+        step(params[m], pts[:s], lds[:s])
+        np.negative(pts[:s], out=pts[s : 2 * s])
+        lds[s : 2 * s] = lds[:s]
+        s *= 2
+    for prefix in range(1 << prefix_bits):
+        block_pts, block_lds = pts.copy(), lds.copy()
+        for m in range(prefix_bits - 1, -1, -1):
+            step(params[m], block_pts, block_lds)
+            if (prefix >> (prefix_bits - 1 - m)) & 1:
+                np.negative(block_pts, out=block_pts)
+        if stats is not None:
+            stats._update_leaves(block_lds)
+        yield prefix * size, block_pts, block_lds
+
+
+def _plain_half(seq, j, n, anchor, metric):
+    """Reference leaf_log_derivs over _plain_blocks."""
+    steps = orbits.TreeStats()
+    l = at(seq, j + 1)
+    out = np.concatenate([
+        lds + orbits._step_logs(l, pts, metric, steps)
+        for _, pts, lds in _plain_blocks(seq, j + 1, n - 1, anchor, metric, steps)
+    ])
+    stats = orbits.TreeStats(steps.step_log_min, steps.step_log_max)
+    stats._update_leaves(out)
+    return out, stats
+
+
+RUN_SEQS = [
+    CONST50,
+    RandomAnnulus(seed=3, min_mod=40.01, max_mod=41),
+    Periodic((55.1 + 20j, -60 + 30.5j)),
+    PerturbedSequence(RandomAnnulus(seed=7, min_mod=45, max_mod=80), SignSchedule(2, 2, 1), 0.1),
+]
+
+
+@pytest.mark.parametrize("block_log2,n", [(18, 15), (13, 16)], ids=["one-block", "prefix-path"])
+@pytest.mark.parametrize("seq", RUN_SEQS, ids=format)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+def test_run_length_levels_match_plain_levels(monkeypatch, seq, metric, anchor, block_log2, n):
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
+    # Runs merge here, except from an off-axis anchor over a real l: those
+    # leaves keep distinct imaginary parts.
+    merged = [c is not None for _, _, c, _ in orbits._iter_runs(seq, 0, n, anchor, metric, None, False)]
+    assert all(merged) or (seq is CONST50 and complex(anchor).imag != 0)
+    want_stats, got_stats = orbits.TreeStats(), orbits.TreeStats()
+    want = list(_plain_blocks(seq, 0, n, anchor, metric, want_stats, verify_edges=True))
+    got = list(iter_leaf_blocks(seq, 0, n, anchor, metric, got_stats, verify_edges=True))
+    assert [start for start, _, _ in got] == [start for start, _, _ in want]
+    for (_, want_pts, want_lds), (_, pts, lds) in zip(want, got):
+        assert np.array_equal(_bits(pts), _bits(want_pts))
+        assert np.array_equal(_bits(lds), _bits(want_lds))
+    assert got_stats == want_stats and got_stats.edge_residual_max > 0
+    half, stats = leaf_log_derivs(seq, 0, n, anchor, metric)
+    want_half, want_stats = _plain_half(seq, 0, n, anchor, metric)
+    assert np.array_equal(_bits(half), _bits(want_half))
+    assert stats == want_stats
+
+
+def test_merge_keeps_signed_zeros_apart():
+    # 1+0j and 1-0j compare equal but print differently: they stay two runs
+    pts = np.array([1 + 0j, complex(1, -0.0)])
+    assert orbits._merge_runs(pts, 2, None) == (2, None)
+    pts = np.array([1 + 0j, complex(1, -0.0), complex(1, -0.0), complex(1, -0.0)])
+    r, counts = orbits._merge_runs(pts, 4, None)
+    assert r == 2 and counts[:2].tolist() == [1, 3]
+    assert [math.copysign(1.0, z.imag) for z in pts[:2]] == [1.0, -1.0]
