@@ -9,7 +9,13 @@ zeros on deterministic instances.
 Occupancy is a property of the point set, so duplicates are dropped once
 before the scale ladder.  Deep pullback clouds are mostly duplicates: their
 innermost levels contract below float spacing, and a depth-18 cloud of
-262,144 leaves holds only a few thousand distinct points.
+262,144 leaves holds only a few thousand distinct points.  The dimension
+check therefore passes the distinct points of the traversal's runs
+(orbits.distinct_points), never the 2**depth leaves, and its 1000-point
+floor still counts the leaves (`leaves`): const:1000 at depth 18 has only
+64 distinct points.  The points arrive sorted, so the x box index of every
+grid is non-decreasing and the stable sort (timsort) of the occupancy keys
+runs on nearly ordered input.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError
+from .orbits import _distinct
 
 _FLOAT_SCALE_FLOOR = 1e-15  # below this, float64 coordinates cannot separate boxes
 DEFAULT_OFFSETS = 4
@@ -41,16 +48,6 @@ class BoxCountReport:
         return f"box-count slope {self.slope:.6g} (rms residual {self.residual:.3g})"
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted.
-
-    One sort and a neighbour comparison: np.unique in numpy 2.4 hashes
-    complex values before sorting, about five times slower on a million.
-    """
-    values = np.sort(values)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
 def _occupancy(points: np.ndarray, eps: float, offset: np.ndarray) -> int:
     ix = np.floor((points.real - offset[0]) / eps)
     iy = np.floor((points.imag - offset[1]) / eps)
@@ -65,16 +62,20 @@ def box_dimension(
     min_scale: float | None = None,
     offsets: int = DEFAULT_OFFSETS,
     seed: int = 0,
+    leaves: int | None = None,
 ) -> BoxCountReport:
     """Fit the box-counting slope of a point cloud over a scale ladder.
 
     min_scale, when given, is the cloud's resolution bound: scales below it
     would see the finite sample instead of the underlying set, so they raise
-    ResolutionError.
+    ResolutionError.  leaves, when given, is the size of the sample the points
+    were read from (a tree's 2**depth leaves for its distinct points); the
+    1000-point floor applies to it, and otherwise to the points themselves.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    if pts.size < 1000:
-        raise ValueError(f"need at least 1000 points, got {pts.size}")
+    size = pts.size if leaves is None else leaves
+    if size < 1000:
+        raise ValueError(f"need at least 1000 points, got {size}")
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     ladder = default_ladder() if eps_ladder is None else np.asarray(eps_ladder, dtype=float)

@@ -36,7 +36,7 @@ from .experiments import (
     write_gap_csv,
     write_kink_csv,
 )
-from .orbits import julia_cloud, write_cloud_csv
+from .orbits import distinct_points, julia_cloud, resolution_bound, write_cloud_csv
 from .parallel import available_workers
 from .pressure import dimension_pair, pressure_curve, write_pressure_csv, write_roots_csv
 from .sequences import parse_complex, parse_schedule, parse_sequence
@@ -210,8 +210,11 @@ def _cmd_pressure(args) -> int:
 
 
 def _box_report(seq, depth, anchor):
-    cloud = julia_cloud(seq, depth, anchor)
-    return box_dimension(cloud.points, cloud_ladder(cloud.resolution), min_scale=cloud.resolution)
+    points = distinct_points(seq, depth, anchor)  # checks the depth first
+    resolution = resolution_bound(seq, depth)
+    return box_dimension(
+        points, cloud_ladder(resolution), min_scale=resolution, leaves=2**depth
+    )
 
 
 def _cmd_dimension(args) -> int:

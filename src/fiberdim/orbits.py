@@ -303,6 +303,36 @@ def leaf_log_derivs(
     return out, stats
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, sorted.
+
+    One stable sort (timsort for complex values, fast on input that is
+    already nearly in order) and a neighbour comparison: np.unique in numpy
+    2.4 hashes complex values before sorting, about five times slower on a
+    million.
+    """
+    values = np.sort(values, kind="stable")
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def distinct_points(
+    seq: SequenceSpec,
+    depth: int,
+    anchor: complex = 1.0 + 0.0j,
+    j: int = 0,
+) -> np.ndarray:
+    """The distinct points among the 2**depth leaves of the tree at fiber j, sorted.
+
+    Read off the run-length blocks of the traversal and deduplicated block by
+    block (the last level is never merged, so its runs still repeat points),
+    so memory stays O(distinct points) at any depth.
+    """
+    parts = [
+        _distinct(pts) for _, pts, _, _ in _iter_runs(seq, j, depth, anchor, PLANAR, None, False)
+    ]
+    return _distinct(np.concatenate(parts))
+
+
 def subtrees(
     seq: SequenceSpec,
     j: int = 0,
@@ -358,9 +388,6 @@ class JuliaCloud:
     anchor: complex
     resolution: float
     stats: TreeStats = field(repr=False, default_factory=TreeStats)
-
-    def word(self, index: int) -> str:
-        return word_of(index, self.depth)
 
 
 def julia_cloud(
@@ -444,11 +471,25 @@ def composed_forward_residual(
     return worst
 
 
+_CSV_CHUNK = 1 << 14  # rows formatted and written per stream.write
+
+
 def write_cloud_csv(cloud: JuliaCloud, stream) -> None:
-    """Rows `word,re,im,log_deriv` in word order, floats at 17 significant digits."""
+    """Rows `word,re,im,log_deriv` in word order, floats at 17 significant digits.
+
+    Rows are formatted in chunks by one str.format over Python floats
+    (tolist), the word being the row index in binary, the same text as
+    word_of and per-value formatting.
+    """
     stream.write("word,re,im,log_deriv\n")
-    for i in range(cloud.points.size):
-        z = cloud.points[i]
-        stream.write(
-            f"{cloud.word(i)},{z.real:.17g},{z.imag:.17g},{cloud.log_derivs[i]:.17g}\n"
+    word = f"{{0:0{cloud.depth}b}}" if cloud.depth > 0 else ""
+    row = (word + ",{1:.17g},{2:.17g},{3:.17g}\n").format
+    size = cloud.points.size
+    for start in range(0, size, _CSV_CHUNK):
+        stop = min(size, start + _CSV_CHUNK)
+        pts = cloud.points[start:stop]
+        rows = map(
+            row, range(start, stop), pts.real.tolist(), pts.imag.tolist(),
+            cloud.log_derivs[start:stop].tolist(),
         )
+        stream.write("".join(rows))

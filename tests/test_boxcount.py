@@ -10,7 +10,10 @@ from fiberdim import (
     cloud_ladder,
     default_ladder,
     julia_cloud,
+    parse_sequence,
+    resolution_bound,
 )
+from fiberdim import orbits
 from fiberdim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -129,3 +132,47 @@ def test_dimension_box_check_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (want / "stdout.txt").read_text()
     assert roots.read_bytes() == (want / "roots.csv").read_bytes()
     assert box.read_bytes() == (want / "box.csv").read_bytes()
+
+
+@pytest.mark.parametrize("anchor", [1 + 0j, -1.05 + 0.1j])
+@pytest.mark.parametrize(
+    "spec", ["const:50", "random:seed=7,min=45,max=80", "periodic:55.1+20i,-60+30.5i"]
+)
+@pytest.mark.parametrize("depth,block_log2", [(12, 18), (16, 13)])  # (16, 13): 8 prefix blocks
+def test_run_length_box_count_matches_materialized(monkeypatch, spec, anchor, depth, block_log2):
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
+    seq = parse_sequence(spec)
+    cloud = julia_cloud(seq, depth, anchor)
+    points = orbits.distinct_points(seq, depth, anchor)
+    # the same set, and the same representative of +-0 parts: the first in word order
+    assert np.array_equal(points.view(np.uint64), orbits._distinct(cloud.points).view(np.uint64))
+    resolution = resolution_bound(seq, depth)
+    assert resolution == cloud.resolution
+    ladder = cloud_ladder(resolution)
+    want = box_dimension(cloud.points, ladder, min_scale=resolution)
+    got = box_dimension(points, ladder, min_scale=resolution, leaves=2**depth)
+    assert np.array_equal(got.counts, want.counts)
+    assert got.slope == want.slope
+    assert got.residual == want.residual
+
+
+def test_size_guard_counts_leaves():
+    # const:1000 at depth 18: 64 distinct points among 262,144 leaves
+    seq = Constant(1000)
+    points = orbits.distinct_points(seq, 18)
+    assert points.size == 64
+    ladder = np.geomspace(0.3, 1e-4, 9)
+    assert box_dimension(points, ladder, leaves=2**18).counts[-1] <= 64
+    with pytest.raises(ValueError):
+        box_dimension(points, ladder)
+
+
+def test_dimension_box_check_counts_leaves(capsys):
+    # fewer than 1000 distinct points, yet a box count like the materialized one
+    assert main(["dimension", "--seq", "const:1000", "--window", "8:12", "--box-check",
+                 "--box-depth", "18"]) == 0
+    line = capsys.readouterr().err.splitlines()[-1]  # the CSV went to stdout
+    cloud = julia_cloud(Constant(1000), 18)
+    want = box_dimension(cloud.points, cloud_ladder(cloud.resolution), min_scale=cloud.resolution)
+    assert line.startswith(f"box-check: slope {want.slope:.17g} vs h_lower ")
+    assert line.endswith(f"fit residual {want.residual:.3g})")
