@@ -13,9 +13,11 @@ innermost levels contract below float spacing, and a depth-18 cloud of
 check therefore passes the distinct points of the traversal's runs
 (orbits.distinct_points), never the 2**depth leaves, and its 1000-point
 floor still counts the leaves (`leaves`): const:1000 at depth 18 has only
-64 distinct points.  The points arrive sorted, so the x box index of every
-grid is non-decreasing and the stable sort (timsort) of the occupancy keys
-runs on nearly ordered input.
+64 distinct points.  box_dimension's own dedupe (_distinct) sorts whatever
+it gets; the run points come as sorted blocks, which its stable sort
+(timsort) merges as runs.  Once sorted, the x box index of every grid is
+non-decreasing, so the stable sort of the occupancy keys runs on nearly
+ordered input.
 """
 
 from __future__ import annotations

@@ -315,22 +315,19 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
-def distinct_points(
-    seq: SequenceSpec,
-    depth: int,
-    anchor: complex = 1.0 + 0.0j,
-    j: int = 0,
-) -> np.ndarray:
-    """The distinct points among the 2**depth leaves of the tree at fiber j, sorted.
+def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j) -> np.ndarray:
+    """The leaf points of the depth-n tree at fiber 0, each at most once per block.
 
-    Read off the run-length blocks of the traversal and deduplicated block by
-    block (the last level is never merged, so its runs still repeat points),
-    so memory stays O(distinct points) at any depth.
+    Read off the run-length blocks of the traversal (the last level is never
+    merged, so its runs still repeat points) and deduplicated block by block,
+    so memory stays O(distinct points) at any depth.  Each block's part is
+    sorted and the parts follow in word order; with one block (depth <=
+    _BLOCK_LOG2) these are the tree's distinct points.  A point shared by two
+    blocks appears once per block, which a set consumer such as box_dimension
+    drops itself.
     """
-    parts = [
-        _distinct(pts) for _, pts, _, _ in _iter_runs(seq, j, depth, anchor, PLANAR, None, False)
-    ]
-    return _distinct(np.concatenate(parts))
+    blocks = _iter_runs(seq, 0, depth, anchor, PLANAR, None, False)
+    return np.concatenate([_distinct(pts) for _, pts, _, _ in blocks])
 
 
 def subtrees(
