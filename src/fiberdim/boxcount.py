@@ -58,6 +58,12 @@ def _occupancy(points: np.ndarray, eps: float, offset: np.ndarray) -> int:
     return int(_distinct(ix + 1j * iy).size)
 
 
+def check_sample_size(size: int) -> None:
+    """Reject a sample below the 1000-point floor of box_dimension."""
+    if size < 1000:
+        raise ValueError(f"need at least 1000 points, got {size}")
+
+
 def box_dimension(
     points,
     eps_ladder=None,
@@ -75,9 +81,7 @@ def box_dimension(
     1000-point floor applies to it, and otherwise to the points themselves.
     """
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    size = pts.size if leaves is None else leaves
-    if size < 1000:
-        raise ValueError(f"need at least 1000 points, got {size}")
+    check_sample_size(pts.size if leaves is None else leaves)
     if not np.isfinite(pts).all():
         raise ValueError("points must be finite")
     ladder = default_ladder() if eps_ladder is None else np.asarray(eps_ladder, dtype=float)

@@ -184,7 +184,27 @@ def _inverse_step(l, pts, counts, lds, metric, stats, verify):
     lds += steps if counts is None else np.repeat(steps, counts)
 
 
-def _merge_runs(pts, r, counts):
+class Scratch:
+    """Traversal arrays kept from one call to the next, so a loop of subtree jobs allocates them once.
+
+    Without one every job allocates and frees a few MiB, and the allocator
+    returns and re-faults those pages job after job.  An array taken from a
+    scratch (a leaf_log_derivs result included) is overwritten by the next
+    call that uses the same scratch; without one, each call takes a new one.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
+        """The first size entries of the array kept under name, grown when too small."""
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size, dtype)
+        return array[:size]
+
+
+def _merge_runs(pts, r, counts, scratch=None):
     """Merge neighbouring runs of pts[:r] whose points are bit-identical.
 
     Compares the uint64 views of both parts, so -0.0 and +0.0 stay apart.
@@ -200,26 +220,28 @@ def _merge_runs(pts, r, counts):
         return r, counts
     starts = np.concatenate(([0], np.flatnonzero(differs) + 1))
     if counts is None:
-        counts = np.empty(pts.size, dtype=np.intp)
+        counts = (scratch or Scratch()).take("counts", pts.size, np.intp)
         counts[:r] = 1
     counts[: starts.size] = np.add.reduceat(counts[:r], starts)
     pts[: starts.size] = pts[starts]
     return starts.size, counts
 
 
-def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
+def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges, scratch=None):
     """Yield (start_index, points, counts, log_derivs) blocks of the depth-n tree in run-length form.
 
     Block leaf i lies at np.repeat(points, counts)[i] (points itself when
     counts is None); log_derivs has one entry per leaf.  Blocks, word order
-    and arithmetic are those of iter_leaf_blocks.
+    and arithmetic are those of iter_leaf_blocks.  With a scratch, the level
+    arrays are taken from it.
     """
     _validate(n, anchor)
     params = [at(seq, k) for k in range(j + 1, j + n + 1)]
     prefix_bits = max(0, n - _BLOCK_LOG2)
     size = 1 << (n - prefix_bits)
-    pts = np.empty(size, dtype=np.complex128)
-    lds = np.empty(size)
+    scratch = scratch or Scratch()
+    pts = scratch.take("pts", size, np.complex128)
+    lds = scratch.take("lds", size)
     pts[0], lds[0] = anchor, 0.0
     counts = None
     r = s = 1  # runs, leaves
@@ -228,7 +250,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
         _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats, verify_edges)
         # a merge pays off only on the levels still to come
         if m and r > 1 and (counts is not None or abs(pts[1] - pts[0]) < _MERGE_SPAN):
-            r, counts = _merge_runs(pts, r, counts)
+            r, counts = _merge_runs(pts, r, counts, scratch)
         np.negative(pts[:r], out=pts[r : 2 * r])
         if counts is not None:
             counts[r : 2 * r] = counts[:r]
@@ -278,6 +300,7 @@ def leaf_log_derivs(
     n: int = 1,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
+    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, TreeStats]:
     """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
 
@@ -285,7 +308,8 @@ def leaf_log_derivs(
     [0], the anchor, which stands for one.  The stats are those of the full
     depth-n tree.  The half is the depth-(n-1) tree at fiber j+1 plus one
     branch-0 step with l_{j+1}, the same arithmetic as the full traversal,
-    whose step log is taken once per run.
+    whose step log is taken once per run.  With a scratch, the traversal
+    arrays and the returned values live in it (see Scratch).
     """
     _validate(n, anchor)
     stats = TreeStats()
@@ -293,8 +317,10 @@ def leaf_log_derivs(
         out = np.zeros(1)
     else:
         l = at(seq, j + 1)
-        out = np.empty(1 << (n - 1))
-        for start, pts, counts, lds in _iter_runs(seq, j + 1, n - 1, anchor, metric, stats, False):
+        scratch = scratch or Scratch()
+        out = scratch.take("out", 1 << (n - 1))
+        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats, False, scratch)
+        for start, pts, counts, lds in runs:
             steps = _step_logs(l, pts, metric, stats)
             if counts is not None:
                 steps = np.repeat(steps, counts)

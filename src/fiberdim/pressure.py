@@ -31,9 +31,11 @@ One tree plan: _Trees splits each tree at its innermost levels into subtree
 jobs of at most 2**_BLOCK_LOG2 leaves (orbits.subtrees).  log_operator_sums
 reduces each job at every t and combines jobs with logaddexp in job order, so
 the result does not depend on the worker count.  WindowPressure, which holds
-the zero finder, runs the same jobs serially into word-ordered trees (subtree
-k of s fills indices k, k + s, ..., as its root carries the inner word bits);
-ld0 + subtree value can differ from a direct traversal in the last ulp.
+the zero finder, runs the same jobs serially, deepest first, into word-ordered
+trees (subtree k of s fills indices k, k + s, ..., as its root carries the
+inner word bits); ld0 + subtree value can differ from a direct traversal in
+the last ulp.  Each job writes only its own indices, so the order changes no
+bit.
 
 Every reduction runs over half a tree: the leaves 0w and 1w have the same
 log-derivative (the first-bit identity in orbits.py), so subtree jobs and
@@ -50,7 +52,7 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, check_depth, leaf_log_derivs, subtrees
+from .orbits import PLANAR, Scratch, check_depth, leaf_log_derivs, subtrees
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
 from .transfer import logsumexp_grid, logsumexp_slope
@@ -260,9 +262,16 @@ class WindowPressure:
         w_lo, w_hi = int(window[0]), int(window[1])
         self.trees = _Trees(seq, j, (w_lo, w_hi), anchor, metric)
         self.n_values = np.arange(w_lo, w_hi + 1)
-        halves = [np.empty((1 << depth) // _multiplicity(depth)) for depth, _ in self.trees.roots]
-        for i, k, (*tree, ld0) in self.trees.jobs:  # subtree k of s fills indices k, k + s, ...
-            sub, _ = leaf_log_derivs(*tree)
+        sizes = [(1 << depth) // _multiplicity(depth) for depth, _ in self.trees.roots]
+        # one buffer for the exponentials of every evaluation (rows_and_slopes)
+        # and one set of traversal arrays for every subtree job, sized by the
+        # first job: the deepest subtrees run first
+        self._w = np.empty(max(sizes))
+        scratch = Scratch()
+        halves = [np.empty(size) for size in sizes]
+        jobs = sorted(self.trees.jobs, key=lambda job: job[2][2], reverse=True)
+        for i, k, (*tree, ld0) in jobs:  # subtree k of s fills indices k, k + s, ...
+            sub, _ = leaf_log_derivs(*tree, scratch=scratch)
             np.add(sub, ld0, out=halves[i][k :: halves[i].size // sub.size])
         self.lds = [(h, _multiplicity(d)) for h, (d, _) in zip(halves, self.trees.roots)]
         # fl(x + ld0) is monotone in x, so these are the subtree extremes plus ld0
@@ -275,7 +284,9 @@ class WindowPressure:
         """a_n(t) and a_n'(t) for every window depth; each t is evaluated once."""
         if t not in self._evaluated:
             self.evaluations += 1
-            sums, slopes = zip(*(logsumexp_slope(lds, t, mult) for lds, mult in self.lds))
+            sums, slopes = zip(
+                *(logsumexp_slope(lds, t, mult, self._w[: lds.size]) for lds, mult in self.lds)
+            )
             sums, slopes = self.trees.per_depth_slopes(sums, slopes, t)
             self._evaluated[t] = (sums / self.n_values, slopes / self.n_values)
         return self._evaluated[t]

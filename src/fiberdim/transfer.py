@@ -66,15 +66,16 @@ def logsumexp_grid(
 
 
 def logsumexp_slope(
-    log_derivs: np.ndarray, t: float, multiplicity: int = 1
+    log_derivs: np.ndarray, t: float, multiplicity: int, out: np.ndarray
 ) -> tuple[float, float]:
     """logsumexp(log_derivs * -t, multiplicity) and its derivative in t.
 
     The value is bit-identical to logsumexp's; the derivative is
     -sum(w * ld) / sum(w) for the same shifted exponentials w, which are
-    formed in place in the one array log_derivs * -t.
+    formed in place in `out` (log_derivs' size, not overlapping it) as
+    log_derivs * -t, so repeated evaluations reuse one buffer.
     """
-    values = log_derivs * -t
+    values = np.multiply(log_derivs, -t, out=out)
     value, w, total = _logsumexp(values, multiplicity, out=values)
     return value, -float(np.dot(w, log_derivs)) / total
 

@@ -1,6 +1,6 @@
 import math
 
-from fiberdim import orbits
+from fiberdim import cli, orbits
 from fiberdim.cli import main
 
 
@@ -170,6 +170,19 @@ def test_usage_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == "", args
         assert not out.exists(), args
+
+
+def test_box_depth_rejected_before_the_roots(monkeypatch, capsys):
+    # the box count runs after the Bowen zeros, but --box-depth is checked first
+    def no_roots(*args, **kwargs):
+        raise AssertionError("dimension_pair ran before --box-depth was checked")
+
+    monkeypatch.setattr(cli, "dimension_pair", no_roots)
+    for depth, message in (("9", "need at least 1000 points, got 512"), ("30", "exceeds cap")):
+        args = ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check",
+                "--box-depth", depth]
+        assert run(args) == 2, depth
+        assert message in capsys.readouterr().err, depth
 
 
 def test_depth_cap_respects_env(tmp_path, monkeypatch, capsys):
