@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SandwichViolation
-from .orbits import iter_leaf_blocks, leaf_log_derivs, word_of
+from .orbits import PLANAR, iter_leaf_blocks, leaf_log_derivs, tree_log_sums, word_of
 from .parallel import run_jobs
 from .pressure import WindowPressure, dimension_pair, log_operator_sums
 from .sequences import (
@@ -372,7 +372,7 @@ def gap_scan(
     grid = _check_symmetric(x_grid)
     w = (int(window[0]), int(window[1]))
     base_lower, base_upper = dimension_pair(base, w, tol, j, anchor)
-    _, stats = leaf_log_derivs(base, j, w[1], anchor)
+    _, stats = tree_log_sums(base, j, w[1], anchor, PLANAR, ())
 
     jobs = [(base, schedule, float(x), w, float(tol), anchor, j) for x in grid]
     results = run_jobs(_gap_cell, jobs, workers)

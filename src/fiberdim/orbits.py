@@ -30,6 +30,20 @@ each run's step log to its leaves, so every leaf gets the same arithmetic on
 the same inputs in the same order as a level over all leaves, and no bit
 moves; step-log extremes and edge residuals range over the same values.
 
+Run weights (tree_log_sums): a sum of exp(-t * log_deriv) over the leaves
+needs no value per leaf.  Run r carries lo_r and hi_r, the least and largest
+log-derivative of its leaves, and S_r(t), the sum over them of
+exp(-t (ld_i - lo_r)), which lies in [1, count_r]; until the first merge
+every run is one leaf and S is 1.  A level adds the run's step log to lo_r
+and hi_r, a merge takes each group's min and max and adds up
+S_r exp(-t (lo_r - lo_group)), and the tree's sum is
+-t min lo + log sum_r S_r exp(-t (lo_r - min lo)).  Rounding x + c is
+monotone in x, so lo_r and hi_r are the extremes of the values a
+leaf-by-leaf traversal computes for the run's leaves, bit for bit, and so
+are the leaf and step extremes of the tree; S is not, as its shifts are fixed
+at the merge while later levels round lo_r alone (a few ulps against a
+direct sum).  At t = 0, S holds the exact leaf counts.
+
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
 is log|l r| = (log|l| + log|l + 2p - 2|) / 2 and the spherical one adds
@@ -73,6 +87,7 @@ _BLOCK_LOG2 = 18  # leaves per streamed block cap (4 MiB of complex128)
 # 1.125 per level of pair (0, 1) (the spread of |branch'| on the trapping
 # disks), under 2**5 at any allowed depth; so the span holds back no merge.
 _MERGE_SPAN = 2.0**-44
+_T_PASS = 32  # exponents per pass of tree_log_sums
 
 PLANAR = "planar"
 SPHERICAL = "spherical"
@@ -204,21 +219,36 @@ class Scratch:
         return array[:size]
 
 
-def _merge_runs(pts, r, counts, scratch=None):
-    """Merge neighbouring runs of pts[:r] whose points are bit-identical.
+def _merge_starts(pts, merged):
+    """Start indices of the groups of bit-identical neighbouring points in pts, or None if no merge is due.
 
-    Compares the uint64 views of both parts, so -0.0 and +0.0 stay apart.
-    The merge waits until it removes a quarter of the runs: below that its
-    bookkeeping costs more than it saves, and equal neighbours stay equal and
-    adjacent at the next level.  Returns the new run count and the counts
-    buffer (allocated at the first merge; before it every run is one leaf).
+    The one merge rule of the run-length levels.  Merging starts once the
+    first two points (leaves 0 and 1) come within _MERGE_SPAN, and goes on
+    at every later level once an earlier one merged (`merged`).  It compares
+    the uint64 views of both parts, so -0.0 and +0.0 stay apart, and waits
+    until it removes a quarter of the runs: below that its bookkeeping costs
+    more than it saves, and equal neighbours stay equal and adjacent at the
+    next level.
     """
-    bits = pts[:r].view(np.uint64)  # re, im, re, im, ...
+    if pts.size < 2 or not (merged or abs(pts[1] - pts[0]) < _MERGE_SPAN):
+        return None
+    bits = pts.view(np.uint64)  # re, im, re, im, ...
     # one uint16 per neighbour pair: its two bytes say whether re and im differ
     differs = (bits[2:] != bits[:-2]).view(np.uint16)
-    if 4 * (1 + np.count_nonzero(differs)) > 3 * r:
+    if 4 * (1 + np.count_nonzero(differs)) > 3 * pts.size:
+        return None
+    return np.concatenate(([0], np.flatnonzero(differs) + 1))
+
+
+def _merge_runs(pts, r, counts, scratch=None):
+    """Merge the runs pts[:r] by _merge_starts.
+
+    Returns the new run count and the counts buffer (allocated at the first
+    merge; before it every run is one leaf).
+    """
+    starts = _merge_starts(pts[:r], counts is not None)
+    if starts is None:
         return r, counts
-    starts = np.concatenate(([0], np.flatnonzero(differs) + 1))
     if counts is None:
         counts = (scratch or Scratch()).take("counts", pts.size, np.intp)
         counts[:r] = 1
@@ -249,7 +279,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges, scratch=None):
         run_counts = None if counts is None else counts[:r]
         _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats, verify_edges)
         # a merge pays off only on the levels still to come
-        if m and r > 1 and (counts is not None or abs(pts[1] - pts[0]) < _MERGE_SPAN):
+        if m:
             r, counts = _merge_runs(pts, r, counts, scratch)
         np.negative(pts[:r], out=pts[r : 2 * r])
         if counts is not None:
@@ -329,6 +359,96 @@ def leaf_log_derivs(
     return out, stats
 
 
+def tree_log_sums(
+    seq: SequenceSpec,
+    j: int = 0,
+    n: int = 1,
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+    t_grid=(0.0,),
+) -> tuple[np.ndarray, TreeStats]:
+    """log of the sum of exp(-t * log_deriv) over the 2**n leaves, for every t in t_grid, and the tree's stats.
+
+    The run-weighted traversal of the module docstring: no array has one
+    entry per leaf.  The last level takes the step logs of the
+    leaf_log_derivs half only, each run counted twice (the first-bit
+    identity).  A level that would double past 2**(_BLOCK_LOG2 - 2) runs (a
+    tree whose points stay distinct, such as one from an off-axis anchor over
+    real parameters) is split into chunks of neighbouring runs that stay
+    within that count down to the last level, so memory stays about that of
+    one streamed block; the chunks are reduced one after the other and folded
+    with logaddexp.  The weights take 8 bytes per run and t, so a grid of
+    more than _T_PASS values is reduced in several passes, which change no
+    bit: each t has its own row.  The stats are those of the full traversal,
+    bit for bit.
+    """
+    _validate(n, anchor)
+    stats = TreeStats()
+    neg_t = -np.asarray(t_grid, dtype=np.float64)
+    sums = [
+        _run_weighted_sums(seq, j, n, anchor, metric, neg_t[i : i + _T_PASS], stats)
+        for i in range(0, max(neg_t.size, 1), _T_PASS)
+    ]
+    return np.concatenate(sums), stats
+
+
+def _run_weighted_sums(seq, j, n, anchor, metric, neg_t, stats):
+    """The tree_log_sums of one pass, at the exponents -neg_t."""
+    cap = 1 << (_BLOCK_LOG2 - 2)
+    # (level, runs, the least and largest leaf log-derivative of each run,
+    # weights S with one row per t, None while every run is one leaf)
+    todo = [(n, np.array([anchor], dtype=np.complex128), np.zeros(1), np.zeros(1), None)]
+    sums = []
+    while todo:
+        top, pts, lo, hi, weights = todo.pop()
+        for k in range(top, 0, -1):  # l_{j+n} first
+            if k < n:  # the runs of level k + 1 and their negatives
+                pts = np.concatenate((pts, -pts))
+                lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
+                if weights is not None:
+                    weights = np.concatenate((weights, weights), axis=1)
+            l = at(seq, j + k)
+            steps = _step_logs(l, pts, metric, stats)
+            lo += steps
+            hi += steps
+            if k == 1:
+                break
+            _branch0_root(l, pts)
+            starts = _merge_starts(pts, weights is not None)
+            if starts is not None:
+                pts = pts[starts]
+                group_lo = np.minimum.reduceat(lo, starts)
+                shift = lo - np.repeat(group_lo, np.diff(starts, append=lo.size))
+                terms = np.multiply.outer(neg_t, shift)
+                np.exp(terms, out=terms)
+                if weights is not None:
+                    terms *= weights
+                weights = np.add.reduceat(terms, starts, axis=1)
+                lo, hi = group_lo, np.maximum.reduceat(hi, starts)
+            if 2 * pts.size > cap:  # a chunk of size runs doubles to size * 2**(k - 1)
+                size = max(1, cap >> (k - 1))
+                todo += [
+                    (k - 1, pts[i : i + size], lo[i : i + size], hi[i : i + size],
+                     None if weights is None else weights[:, i : i + size])
+                    for i in reversed(range(0, pts.size, size))
+                ]
+                pts = None
+                break
+        if pts is None:
+            continue
+        low = lo.min()
+        stats.leaf_log_min = min(stats.leaf_log_min, float(low))
+        stats.leaf_log_max = max(stats.leaf_log_max, float(hi.max()))
+        shift, terms, totals = lo - low, np.empty_like(lo), []
+        for i, t in enumerate(neg_t):  # one buffer for every t
+            np.exp(np.multiply(shift, t, out=terms), out=terms)
+            if weights is not None:
+                terms *= weights[i]
+            totals.append(terms.sum())
+        sums.append(low * neg_t + np.log((2 if n else 1) * np.array(totals)))
+    return np.logaddexp.reduce(sums)
+
+
 def _distinct(values: np.ndarray) -> np.ndarray:
     """The distinct values, sorted.
 
@@ -354,31 +474,6 @@ def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j)
     """
     blocks = _iter_runs(seq, 0, depth, anchor, PLANAR, None, False)
     return np.concatenate([_distinct(pts) for _, pts, _, _ in blocks])
-
-
-def subtrees(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> list[tuple[int, complex, float]]:
-    """Split the depth-n tree at its innermost levels into subtrees of <= 2**_BLOCK_LOG2 leaves.
-
-    Returns one (depth, root, log_deriv) per subtree: its leaves are the
-    depth-`depth` pullbacks of `root` at fiber j, and adding `log_deriv` to
-    their log-derivatives gives those of the full tree.  The roots are the
-    leaves of the innermost n - depth levels, i.e. of the depth-(n - depth)
-    tree at fiber j + depth, in its word order.  The split depends on n and
-    _BLOCK_LOG2 only.
-    """
-    _validate(n, anchor)
-    depth = min(n, _BLOCK_LOG2)
-    return [
-        (depth, complex(z), float(ld))
-        for _, pts, lds in iter_leaf_blocks(seq, j + depth, n - depth, anchor, metric)
-        for z, ld in zip(pts, lds)
-    ]
 
 
 def word_of(index: int, depth: int) -> str:

@@ -27,20 +27,23 @@ Any other anchor is reduced over its own depth-n trees.  The recurrence adds
 the same terms in another order than a direct depth-n sum, so a_n can differ
 from it in the last ulp.
 
-One tree plan: _Trees splits each tree at its innermost levels into subtree
-jobs of at most 2**_BLOCK_LOG2 leaves (orbits.subtrees).  log_operator_sums
-reduces each job at every t and combines jobs with logaddexp in job order, so
-the result does not depend on the worker count.  WindowPressure, which holds
-the zero finder, runs the same jobs serially, deepest first, into word-ordered
-trees (subtree k of s fills indices k, k + s, ..., as its root carries the
-inner word bits); ld0 + subtree value can differ from a direct traversal in
-the last ulp.  Each job writes only its own indices, so the order changes no
-bit.
+Tree plans: _Trees lists the trees (depth, root) whose sums give every
+depth.  log_operator_sums runs one job per tree, orbits.tree_log_sums, which
+reduces the whole t grid over the tree's runs and holds no value per leaf;
+results come back in tree order, so they do not depend on the worker count.
+WindowPressure, which holds the zero finder and evaluates at arbitrary t,
+keeps the leaf values: it splits each tree at its innermost levels into
+subtrees of at most 2**_BLOCK_LOG2 leaves and runs them serially, deepest
+first, into word-ordered half trees (subtree k of s fills indices k, k + s,
+..., as its root carries the inner word bits); ld0 + subtree value can differ
+from a direct traversal in the last ulp.  Each subtree writes only its own
+indices, so the order changes no bit.
 
 Every reduction runs over half a tree: the leaves 0w and 1w have the same
-log-derivative (the first-bit identity in orbits.py), so subtree jobs and
-cached trees hold the 2**(depth-1) values of orbits.leaf_log_derivs, which
-transfer.logsumexp counts twice.
+log-derivative (the first-bit identity in orbits.py), so tree_log_sums counts
+each run of the last level twice, and the cached half trees hold the
+2**(depth-1) values of orbits.leaf_log_derivs, which
+transfer.logsumexp_slope counts twice.
 """
 
 from __future__ import annotations
@@ -52,10 +55,18 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, Scratch, check_depth, leaf_log_derivs, subtrees
+from . import orbits
+from .orbits import (
+    PLANAR,
+    Scratch,
+    check_depth,
+    iter_leaf_blocks,
+    leaf_log_derivs,
+    tree_log_sums,
+)
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
-from .transfer import logsumexp_grid, logsumexp_slope
+from .transfer import logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
@@ -64,9 +75,7 @@ _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 class _Trees:
     """The trees whose leaf sums give log L^n 1(anchor) at fiber j for n_lo <= n <= n_hi."""
 
-    def __init__(
-        self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex, metric: str
-    ):
+    def __init__(self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex):
         n_lo, n_hi = int(n_range[0]), int(n_range[1])
         if not 1 <= n_lo <= n_hi:
             raise ValueError("need 1 <= n_min <= n_max")
@@ -78,11 +87,6 @@ class _Trees:
         else:
             self.roots = [(n, complex(anchor)) for n in range(n_lo, n_hi + 1)]
             self.log_l = None
-        self.jobs = [  # (tree index, subtree index, job args) per subtree, in tree order
-            (i, k, (seq, j, sub_depth, sub_root, metric, ld0))
-            for i, (depth, root) in enumerate(self.roots)
-            for k, (sub_depth, sub_root, ld0) in enumerate(subtrees(seq, j, depth, root, metric))
-        ]
 
     def per_depth(self, values, combine, scale=1.0) -> np.ndarray:
         """Per-depth values for n_lo..n_hi from per-tree ones.
@@ -126,15 +130,10 @@ def _multiplicity(depth: int) -> int:
     return 2 if depth else 1
 
 
-def _subtree_sums(args):
-    """Log sums at every t, and leaf extremes, of one subtree shifted by its root's log-derivative."""
-    seq, j, depth, root, metric, ld0, t_grid = args
-    lds, stats = leaf_log_derivs(seq, j, depth, root, metric)
-    # One buffer serves every t, and the max of each lds * -t is the leaf
-    # minimum times -t (exact: rounding x * -t is monotone in x).
-    sums = logsumexp_grid(lds, t_grid, _multiplicity(depth), stats.leaf_log_min)
-    sums -= np.asarray(t_grid) * ld0
-    return sums, stats.leaf_log_min + ld0, stats.leaf_log_max + ld0
+def _tree_sums(args):
+    """Log sums at every t, and leaf extremes, of one tree."""
+    sums, stats = tree_log_sums(*args)
+    return sums, stats.leaf_log_min, stats.leaf_log_max
 
 
 def log_operator_sums(
@@ -151,18 +150,12 @@ def log_operator_sums(
     Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
     one column per t; the extremes are those of the depth-n leaf log-derivatives.
     """
-    trees = _Trees(seq, j, n_range, anchor, metric)
+    trees = _Trees(seq, j, n_range, anchor)
     t_grid = tuple(float(t) for t in t_grid)
-    jobs = [(*args, t_grid) for _, _, args in trees.jobs]
-    sums = np.full((len(trees.roots), len(t_grid)), -np.inf)
-    lo = np.full(len(trees.roots), np.inf)
-    hi = np.full(len(trees.roots), -np.inf)
-    for (i, _, _), (s, a, b) in zip(trees.jobs, run_jobs(_subtree_sums, jobs, workers)):
-        sums[i] = np.logaddexp(sums[i], s)
-        lo[i] = min(lo[i], a)
-        hi[i] = max(hi[i], b)
+    jobs = [(seq, j, depth, root, metric, t_grid) for depth, root in trees.roots]
+    sums, lo, hi = zip(*run_jobs(_tree_sums, jobs, workers))
     return (
-        trees.per_depth(sums, np.logaddexp, -np.asarray(t_grid)),
+        trees.per_depth(np.array(sums), np.logaddexp, -np.asarray(t_grid)),
         trees.per_depth(lo, min),
         trees.per_depth(hi, max),
     )
@@ -260,19 +253,28 @@ class WindowPressure:
         if isinstance(window, int):
             window = (window, window)
         w_lo, w_hi = int(window[0]), int(window[1])
-        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor, metric)
+        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
         self.n_values = np.arange(w_lo, w_hi + 1)
         sizes = [(1 << depth) // _multiplicity(depth) for depth, _ in self.trees.roots]
+        # Subtree plan: each tree splits at its innermost levels into subtrees
+        # of at most 2**_BLOCK_LOG2 leaves, rooted at the leaves of the
+        # depth-(depth - sub) tree at fiber j + sub in word order.
+        jobs = []  # (subtree depth, tree, subtree index, subtree root, its log-derivative)
+        for i, (depth, root) in enumerate(self.trees.roots):
+            sub = min(depth, orbits._BLOCK_LOG2)
+            blocks = iter_leaf_blocks(seq, j + sub, depth - sub, root, metric)
+            roots = [zl for _, pts, lds in blocks for zl in zip(pts.tolist(), lds.tolist())]
+            jobs += [(sub, i, k, z, ld0) for k, (z, ld0) in enumerate(roots)]
         # one buffer for the exponentials of every evaluation (rows_and_slopes)
         # and one set of traversal arrays for every subtree job, sized by the
         # first job: the deepest subtrees run first
         self._w = np.empty(max(sizes))
         scratch = Scratch()
         halves = [np.empty(size) for size in sizes]
-        jobs = sorted(self.trees.jobs, key=lambda job: job[2][2], reverse=True)
-        for i, k, (*tree, ld0) in jobs:  # subtree k of s fills indices k, k + s, ...
-            sub, _ = leaf_log_derivs(*tree, scratch=scratch)
-            np.add(sub, ld0, out=halves[i][k :: halves[i].size // sub.size])
+        jobs.sort(key=lambda job: job[0], reverse=True)
+        for sub, i, k, z, ld0 in jobs:  # subtree k of s fills indices k, k + s, ...
+            half, _ = leaf_log_derivs(seq, j, sub, z, metric, scratch)
+            np.add(half, ld0, out=halves[i][k :: halves[i].size // half.size])
         self.lds = [(h, _multiplicity(d)) for h, (d, _) in zip(halves, self.trees.roots)]
         # fl(x + ld0) is monotone in x, so these are the subtree extremes plus ld0
         self.leaf_log_min = self.trees.per_depth([float(h.min()) for h in halves], min)

@@ -4,9 +4,11 @@ The weighted pullback operator at exponent t >= 0 sums |f'|^{-t} over
 preimages; its n-th power evaluated on the constant function 1 is a sum of
 exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 |l|^{-t n} (50**-20 underflows float64), so every sum is carried in log
-domain: one logsumexp per leaf block, folded with logaddexp in the fixed
-word order of the block stream, so results do not depend on how work is
-scheduled.
+domain.  operator_power is the independent oracle of the pressure sums: it
+materializes every leaf block, reduces it with one logsumexp per t and folds
+the blocks with logaddexp in word order, where pressure reduces over the
+traversal's runs (orbits.tree_log_sums).  logsumexp_slope evaluates the leaf
+arrays that pressure.WindowPressure caches for its zero finder.
 """
 
 from __future__ import annotations
@@ -47,21 +49,16 @@ def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
     return _logsumexp(values, multiplicity)[0]
 
 
-def logsumexp_grid(
-    log_derivs: np.ndarray, t_grid, multiplicity: int = 1, log_min: float | None = None
-) -> np.ndarray:
-    """logsumexp(log_derivs * -t, multiplicity) for every t in t_grid, bit for bit, in one buffer.
+def logsumexp_grid(log_derivs: np.ndarray, t_grid) -> np.ndarray:
+    """logsumexp(log_derivs * -t) for every t in t_grid, bit for bit, in one buffer.
 
-    The max of log_derivs * -t is log_min * -t with log_min = min(log_derivs)
-    (pass it when known): rounding x * -t is monotone in x, so both are the
-    same float, -0.0 at t = 0.
+    The max of log_derivs * -t is min(log_derivs) * -t: rounding x * -t is
+    monotone in x, so both are the same float, -0.0 at t = 0.
     """
-    if log_min is None:
-        log_min = float(np.min(log_derivs))
+    log_min = float(np.min(log_derivs))
     buf = np.empty_like(log_derivs)
     return np.array([
-        _logsumexp(np.multiply(log_derivs, -t, out=buf), multiplicity, buf, log_min * -t)[0]
-        for t in t_grid
+        _logsumexp(np.multiply(log_derivs, -t, out=buf), 1, buf, log_min * -t)[0] for t in t_grid
     ])
 
 

@@ -204,7 +204,9 @@ def test_c09_spread_certificate_and_gap_growth():
 
 
 def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
-    # A block of 2^4 leaves splits every tree deeper than 4 into several subtree jobs.
+    # 2^4-leaf blocks: the gap scan's window caches split every tree deeper than
+    # 4 into subtrees, and the pressure and kink sums split a level that would
+    # double past 4 runs into chunks.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         outputs = []
@@ -231,7 +233,7 @@ def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
     _report(
         10,
         "pressure and perturb (kink and gap) CSV bytes identical for workers 1, 2, 8, "
-        "and for workers 1, 2, 3 with trees split into 2^4-leaf subtrees",
+        "and for workers 1, 2, 3 with 2^4-leaf blocks (window-cache subtrees, run chunks)",
     )
 
 

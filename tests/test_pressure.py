@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from fiberdim import (
 from fiberdim import orbits
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure
+from fiberdim.sequences import parse_sequence
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -57,13 +59,80 @@ def test_slope_bracket_exact():
         assert bool((diff <= hi + 1e-12).all())
 
 
+RUN_SPECS = [
+    "const:50",
+    "const:1000",
+    "random:seed=7,min=45,max=80",
+    "perturb:base=random:seed=7,min=45,max=80;blocks=2x2;x=0.1",
+]
+RUN_T = (0.0, 0.18, 0.4, 50.0)  # at t = 50 terms inside a run underflow
+
+
+def _check_run_weighted_sums(seq, n, anchor, metric):
+    """tree_log_sums against operator_power and the stats of a leaf-by-leaf traversal."""
+    sums, stats = orbits.tree_log_sums(seq, 0, n, anchor, metric, RUN_T)
+    want = np.array([v.log_value for v in operator_power(seq, 0, n, RUN_T, anchor, metric)])
+    assert np.all(np.abs(sums - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    want_stats = orbits.TreeStats()
+    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, want_stats):
+        pass
+    assert stats == want_stats
+    assert abs(sums[0] - n * LOG2) <= 1e-15 * max(1, n)  # a_n(0) = log 2
+
+
+@pytest.mark.parametrize("spec", RUN_SPECS)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("n", [0, 1, 12, 20])  # runs merge from about level 11
+def test_run_weighted_sums_match_operator_power(spec, metric, anchor, n):
+    # const:50 from the off-axis anchor keeps every point distinct, so its
+    # depth-20 levels also split into chunks of runs
+    _check_run_weighted_sums(parse_sequence(spec), n, anchor, metric)
+
+
+@pytest.mark.parametrize("spec", ["const:50", RUN_SPECS[3]])
+def test_run_weighted_sums_match_streamed_oracle(monkeypatch, spec):
+    # 2^5-leaf blocks: the oracle streams prefix blocks, and a level that
+    # would double past 8 runs splits into chunks
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 5)
+    _check_run_weighted_sums(parse_sequence(spec), 12, -1.05 + 0.1j, "spherical")
+
+
+def test_run_weighted_passes_change_no_bit():
+    # 70 exponents take three passes of the traversal; each t has its own row
+    seq, t_grid = parse_sequence(RUN_SPECS[2]), np.linspace(0.0, 2.0, 70)
+    sums, stats = orbits.tree_log_sums(seq, 0, 14, -1.0, "spherical", t_grid)
+    for k in range(0, 70, 9):
+        one, one_stats = orbits.tree_log_sums(seq, 0, 14, -1.0, "spherical", [t_grid[k]])
+        assert one[0] == sums[k] and one_stats == stats
+
+
+@pytest.mark.parametrize(
+    "spec,anchor,n",
+    [("random:seed=7,min=45,max=80", 1.0, 26), ("const:50", -1.05 + 0.1j, 20)],
+)
+def test_run_weighted_sums_hold_no_value_per_leaf(spec, anchor, n):
+    # one float64 per value of the half tree alone would take 256 MiB at depth
+    # 26; from the off-axis anchor the 2^19 distinct points of the last level
+    # would take 16 MiB unless chunked
+    tracemalloc.start()
+    try:
+        orbits.tree_log_sums(parse_sequence(spec), 0, n, anchor, "planar", np.linspace(0, 0.4, 21))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
-    # Subtrees of 2^3 leaves: every tree deeper than 3 is split into several jobs.
-    # From anchor 1 the depths also come from the top-step recurrence over W_n.
+    # 2^3-leaf blocks: the window cache splits every tree deeper than 3 into
+    # subtrees, and the pressure sums split a level that would double past 2
+    # runs into chunks.  From anchor 1 the depths also come from the top-step
+    # recurrence over W_n.
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
@@ -98,7 +167,8 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
-    # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its own trees
+    # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its
+    # own trees; 2^3-leaf blocks split every cached tree deeper than 3 into subtrees
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     window = WindowPressure(MIXED, (4, 10), 0, anchor, metric)
     depths = range(4, 11)
