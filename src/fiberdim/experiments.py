@@ -34,6 +34,7 @@ from .sequences import (
 )
 
 _FLOAT_SLACK = 1e-9
+_MOTION_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,10 +57,10 @@ class PerturbationReport:
     rows: tuple[SandwichRow, ...]
     leaf_slack_max: float  # max over leaves/depths of |dlog - x S_n| - n|x|/2
 
-    def passed(self, slack: float = _FLOAT_SLACK) -> bool:
+    def passed(self) -> bool:
         return (
-            all(r.residual <= slack for r in self.rows)
-            and self.leaf_slack_max <= slack
+            all(r.residual <= _FLOAT_SLACK for r in self.rows)
+            and self.leaf_slack_max <= _FLOAT_SLACK
         )
 
     def summary(self) -> str:
@@ -144,10 +145,10 @@ class MotionReport:
     max_log_ratio: float
     log_ratio_bound: float  # delta / 6
 
-    def passed(self, slack: float = 1e-12) -> bool:
+    def passed(self) -> bool:
         return (
-            self.max_displacement <= self.displacement_bound + slack
-            and self.max_log_ratio <= self.log_ratio_bound + slack
+            self.max_displacement <= self.displacement_bound + _MOTION_SLACK
+            and self.max_log_ratio <= self.log_ratio_bound + _MOTION_SLACK
         )
 
     def summary(self) -> str:
@@ -219,9 +220,9 @@ class KinkScan:
     cesaro_max: float
     rows: tuple[KinkRow, ...]
 
-    def passed(self, slack: float = _FLOAT_SLACK) -> bool:
+    def passed(self) -> bool:
         return all(
-            r.sandwich_slack <= slack and r.spread_lhs >= r.spread_rhs - slack
+            r.sandwich_slack <= _FLOAT_SLACK and r.spread_lhs >= r.spread_rhs - _FLOAT_SLACK
             for r in self.rows
         )
 

@@ -199,26 +199,6 @@ def _inverse_step(l, pts, counts, lds, metric, stats, verify):
     lds += steps if counts is None else np.repeat(steps, counts)
 
 
-class Scratch:
-    """Traversal arrays kept from one call to the next, so a loop of subtree jobs allocates them once.
-
-    Without one every job allocates and frees a few MiB, and the allocator
-    returns and re-faults those pages job after job.  An array taken from a
-    scratch (a leaf_log_derivs result included) is overwritten by the next
-    call that uses the same scratch; without one, each call takes a new one.
-    """
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, size: int, dtype=np.float64) -> np.ndarray:
-        """The first size entries of the array kept under name, grown when too small."""
-        array = self._arrays.get(name)
-        if array is None or array.size < size:
-            array = self._arrays[name] = np.empty(size, dtype)
-        return array[:size]
-
-
 def _merge_starts(pts, merged):
     """Start indices of the groups of bit-identical neighbouring points in pts, or None if no merge is due.
 
@@ -240,7 +220,7 @@ def _merge_starts(pts, merged):
     return np.concatenate(([0], np.flatnonzero(differs) + 1))
 
 
-def _merge_runs(pts, r, counts, scratch=None):
+def _merge_runs(pts, r, counts):
     """Merge the runs pts[:r] by _merge_starts.
 
     Returns the new run count and the counts buffer (allocated at the first
@@ -250,28 +230,29 @@ def _merge_runs(pts, r, counts, scratch=None):
     if starts is None:
         return r, counts
     if counts is None:
-        counts = (scratch or Scratch()).take("counts", pts.size, np.intp)
+        counts = np.empty(pts.size, np.intp)
         counts[:r] = 1
     counts[: starts.size] = np.add.reduceat(counts[:r], starts)
     pts[: starts.size] = pts[starts]
     return starts.size, counts
 
 
-def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges, scratch=None):
+def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
     """Yield (start_index, points, counts, log_derivs) blocks of the depth-n tree in run-length form.
 
     Block leaf i lies at np.repeat(points, counts)[i] (points itself when
     counts is None); log_derivs has one entry per leaf.  Blocks, word order
-    and arithmetic are those of iter_leaf_blocks.  With a scratch, the level
-    arrays are taken from it.
+    and arithmetic are those of iter_leaf_blocks.  The levels nearest the
+    anchor are built once into arrays of at most 2**_BLOCK_LOG2 entries; a
+    deeper tree then streams one block per word prefix, each a copy of them
+    taken through the remaining outer levels.
     """
     _validate(n, anchor)
     params = [at(seq, k) for k in range(j + 1, j + n + 1)]
     prefix_bits = max(0, n - _BLOCK_LOG2)
     size = 1 << (n - prefix_bits)
-    scratch = scratch or Scratch()
-    pts = scratch.take("pts", size, np.complex128)
-    lds = scratch.take("lds", size)
+    pts = np.empty(size, np.complex128)
+    lds = np.empty(size)
     pts[0], lds[0] = anchor, 0.0
     counts = None
     r = s = 1  # runs, leaves
@@ -280,7 +261,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges, scratch=None):
         _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats, verify_edges)
         # a merge pays off only on the levels still to come
         if m:
-            r, counts = _merge_runs(pts, r, counts, scratch)
+            r, counts = _merge_runs(pts, r, counts)
         np.negative(pts[:r], out=pts[r : 2 * r])
         if counts is not None:
             counts[r : 2 * r] = counts[:r]
@@ -330,7 +311,6 @@ def leaf_log_derivs(
     n: int = 1,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-    scratch: Scratch | None = None,
 ) -> tuple[np.ndarray, TreeStats]:
     """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
 
@@ -338,8 +318,9 @@ def leaf_log_derivs(
     [0], the anchor, which stands for one.  The stats are those of the full
     depth-n tree.  The half is the depth-(n-1) tree at fiber j+1 plus one
     branch-0 step with l_{j+1}, the same arithmetic as the full traversal,
-    whose step log is taken once per run.  With a scratch, the traversal
-    arrays and the returned values live in it (see Scratch).
+    whose step log is taken once per run.  The half fills one new array; the
+    traversal beside it streams _iter_runs' prefix blocks, so its arrays
+    hold at most 2**_BLOCK_LOG2 points each at any depth.
     """
     _validate(n, anchor)
     stats = TreeStats()
@@ -347,9 +328,8 @@ def leaf_log_derivs(
         out = np.zeros(1)
     else:
         l = at(seq, j + 1)
-        scratch = scratch or Scratch()
-        out = scratch.take("out", 1 << (n - 1))
-        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats, False, scratch)
+        out = np.empty(1 << (n - 1))
+        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats, False)
         for start, pts, counts, lds in runs:
             steps = _step_logs(l, pts, metric, stats)
             if counts is not None:

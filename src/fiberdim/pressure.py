@@ -32,12 +32,10 @@ depth.  log_operator_sums runs one job per tree, orbits.tree_log_sums, which
 reduces the whole t grid over the tree's runs and holds no value per leaf;
 results come back in tree order, so they do not depend on the worker count.
 WindowPressure, which holds the zero finder and evaluates at arbitrary t,
-keeps the leaf values: it splits each tree at its innermost levels into
-subtrees of at most 2**_BLOCK_LOG2 leaves and runs them serially, deepest
-first, into word-ordered half trees (subtree k of s fills indices k, k + s,
-..., as its root carries the inner word bits); ld0 + subtree value can differ
-from a direct traversal in the last ulp.  Each subtree writes only its own
-indices, so the order changes no bit.
+keeps the leaf values: one orbits.leaf_log_derivs call per tree, the direct
+traversal, so its leaf extremes are those of log_operator_sums bit for bit.
+A tree of more than 2**(_BLOCK_LOG2 + 1) leaves streams through the
+traversal's prefix blocks, so only the cached halves grow with depth.
 
 Every reduction runs over half a tree: the leaves 0w and 1w have the same
 log-derivative (the first-bit identity in orbits.py), so tree_log_sums counts
@@ -55,15 +53,7 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from . import orbits
-from .orbits import (
-    PLANAR,
-    Scratch,
-    check_depth,
-    iter_leaf_blocks,
-    leaf_log_derivs,
-    tree_log_sums,
-)
+from .orbits import PLANAR, check_depth, leaf_log_derivs, tree_log_sums
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
 from .transfer import logsumexp_slope
@@ -255,30 +245,13 @@ class WindowPressure:
         w_lo, w_hi = int(window[0]), int(window[1])
         self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
         self.n_values = np.arange(w_lo, w_hi + 1)
-        sizes = [(1 << depth) // _multiplicity(depth) for depth, _ in self.trees.roots]
-        # Subtree plan: each tree splits at its innermost levels into subtrees
-        # of at most 2**_BLOCK_LOG2 leaves, rooted at the leaves of the
-        # depth-(depth - sub) tree at fiber j + sub in word order.
-        jobs = []  # (subtree depth, tree, subtree index, subtree root, its log-derivative)
-        for i, (depth, root) in enumerate(self.trees.roots):
-            sub = min(depth, orbits._BLOCK_LOG2)
-            blocks = iter_leaf_blocks(seq, j + sub, depth - sub, root, metric)
-            roots = [zl for _, pts, lds in blocks for zl in zip(pts.tolist(), lds.tolist())]
-            jobs += [(sub, i, k, z, ld0) for k, (z, ld0) in enumerate(roots)]
+        roots = self.trees.roots
+        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in roots))
+        self.lds = [(half, _multiplicity(d)) for half, (d, _) in zip(halves, roots)]
         # one buffer for the exponentials of every evaluation (rows_and_slopes)
-        # and one set of traversal arrays for every subtree job, sized by the
-        # first job: the deepest subtrees run first
-        self._w = np.empty(max(sizes))
-        scratch = Scratch()
-        halves = [np.empty(size) for size in sizes]
-        jobs.sort(key=lambda job: job[0], reverse=True)
-        for sub, i, k, z, ld0 in jobs:  # subtree k of s fills indices k, k + s, ...
-            half, _ = leaf_log_derivs(seq, j, sub, z, metric, scratch)
-            np.add(half, ld0, out=halves[i][k :: halves[i].size // half.size])
-        self.lds = [(h, _multiplicity(d)) for h, (d, _) in zip(halves, self.trees.roots)]
-        # fl(x + ld0) is monotone in x, so these are the subtree extremes plus ld0
-        self.leaf_log_min = self.trees.per_depth([float(h.min()) for h in halves], min)
-        self.leaf_log_max = self.trees.per_depth([float(h.max()) for h in halves], max)
+        self._w = np.empty(max(half.size for half in halves))
+        self.leaf_log_min = self.trees.per_depth([s.leaf_log_min for s in stats], min)
+        self.leaf_log_max = self.trees.per_depth([s.leaf_log_max for s in stats], max)
         self.evaluations = 0
         self._evaluated = {}
 

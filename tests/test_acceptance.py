@@ -204,9 +204,9 @@ def test_c09_spread_certificate_and_gap_growth():
 
 
 def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
-    # 2^4-leaf blocks: the gap scan's window caches split every tree deeper than
-    # 4 into subtrees, and the pressure and kink sums split a level that would
-    # double past 4 runs into chunks.
+    # 2^4-leaf blocks: every tree of the gap scan's window caches deeper than 5
+    # streams prefix blocks, and the pressure and kink sums split a level that
+    # would double past 4 runs into chunks.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         outputs = []
@@ -233,7 +233,7 @@ def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
     _report(
         10,
         "pressure and perturb (kink and gap) CSV bytes identical for workers 1, 2, 8, "
-        "and for workers 1, 2, 3 with 2^4-leaf blocks (window-cache subtrees, run chunks)",
+        "and for workers 1, 2, 3 with 2^4-leaf blocks (window-cache prefix blocks, run chunks)",
     )
 
 

@@ -33,7 +33,8 @@ def test_pressure_zero_column(tmp_path):
 
 
 def test_pressure_deterministic_across_workers(tmp_path, monkeypatch):
-    # A block of 2^3 leaves splits every tree deeper than 3 into several subtree jobs.
+    # A block of 2^3 leaves makes the run-weighted sums split every level that
+    # would double past 2 runs into chunks.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (3, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         for anchor in ("1", "-1.05+0.1i"):

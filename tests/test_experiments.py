@@ -105,7 +105,7 @@ def _per_depth_sandwich(base, x, t, n_max, anchor, j):
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("j", [0, 3])
 def test_sandwich_matches_per_depth_brute_force(monkeypatch, anchor, j):
-    # subtrees of 2^3 leaves, so every tree deeper than 3 is split into several jobs
+    # 2^3-leaf blocks: every window-cache tree deeper than 4 streams prefix blocks
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     base, x, t, n_max = Periodic((50, 60 + 10j, -45)), 0.1, 0.18, 10
     brute = _per_depth_sandwich(base, x, t, n_max, anchor, j)

@@ -419,14 +419,3 @@ def test_merge_keeps_signed_zeros_apart():
     r, counts = orbits._merge_runs(pts, 4, None)
     assert r == 2 and counts[:2].tolist() == [1, 3]
     assert [math.copysign(1.0, z.imag) for z in pts[:2]] == [1.0, -1.0]
-
-
-def test_scratch_reuse_matches_fresh_arrays(monkeypatch):
-    # one scratch across jobs that grow and shrink, through the prefix path
-    # too: every half equals the fresh-array one bit for bit
-    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 8)
-    scratch = orbits.Scratch()
-    for n, anchor in ((6, 1.0), (11, -1.05 + 0.1j), (9, 1.0), (12, 1.0), (1, -1.0)):
-        want, want_stats = leaf_log_derivs(RUN_SEQS[3], 2, n, anchor)
-        got, stats = leaf_log_derivs(RUN_SEQS[3], 2, n, anchor, scratch=scratch)
-        assert np.array_equal(_bits(got), _bits(want)) and stats == want_stats

@@ -23,7 +23,7 @@ from fiberdim import (
 )
 from fiberdim import orbits
 from fiberdim.cli import main
-from fiberdim.pressure import WindowPressure
+from fiberdim.pressure import WindowPressure, log_operator_sums
 from fiberdim.sequences import parse_sequence
 
 CONST50 = Constant(50)
@@ -129,10 +129,10 @@ def test_run_weighted_sums_hold_no_value_per_leaf(spec, anchor, n):
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
-    # 2^3-leaf blocks: the window cache splits every tree deeper than 3 into
-    # subtrees, and the pressure sums split a level that would double past 2
-    # runs into chunks.  From anchor 1 the depths also come from the top-step
-    # recurrence over W_n.
+    # 2^3-leaf blocks: every window-cache tree deeper than 4 streams prefix
+    # blocks inside its leaf_log_derivs call, and the pressure sums split a
+    # level that would double past 2 runs into chunks.  From anchor 1 the
+    # depths also come from the top-step recurrence over W_n.
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
@@ -156,7 +156,7 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     assert np.abs(rows - want_rows).max() <= 1e-13
     for (depth, root), (half, _) in zip(window.trees.roots, window.lds):  # word order
         want = leaf_log_derivs(seq, j, depth, root, metric)[0]
-        assert np.allclose(half, want, rtol=1e-12, atol=0)
+        assert np.array_equal(half, want)
     want_bracket = (
         min(n * LOG2 / stats[n].leaf_log_max for n in depths),
         max(n * LOG2 / stats[n].leaf_log_min for n in depths),
@@ -164,11 +164,25 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     assert window.bracket() == pytest.approx(want_bracket, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("spec", RUN_SPECS + ["periodic:55.1+20i,-60+30.5i"])
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("j", [0, 3])
+def test_window_leaf_extremes_match_operator_sums(spec, metric, anchor, j):
+    # the window cache and the run-weighted sums both take each tree's leaf
+    # extremes from the direct traversal, so the bracket ends agree bit for bit
+    seq = parse_sequence(spec)
+    window = WindowPressure(seq, (8, 20), j, anchor, metric)
+    _, leaf_min, leaf_max = log_operator_sums(seq, [0.0], (8, 20), j, anchor, metric)
+    assert np.array_equal(window.leaf_log_min, leaf_min)
+    assert np.array_equal(window.leaf_log_max, leaf_max)
+
+
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
     # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its
-    # own trees; 2^3-leaf blocks split every cached tree deeper than 3 into subtrees
+    # own trees; 2^3-leaf blocks make every cached tree deeper than 4 stream prefix blocks
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     window = WindowPressure(MIXED, (4, 10), 0, anchor, metric)
     depths = range(4, 11)
