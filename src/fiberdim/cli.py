@@ -121,11 +121,11 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seq_flag="--seq", fans_out=False):
+    def common(p, seq_flag="--seq", workers_help=None):
         p.add_argument(seq_flag, required=True, help="sequence spec string")
         p.add_argument("--anchor", type=parse_complex, default=1 + 0j)
-        if fans_out:
-            p.add_argument("--workers", type=int, default=available_workers())
+        if workers_help:
+            p.add_argument("--workers", type=int, default=available_workers(), help=workers_help)
         p.add_argument("--out", "-o", default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", help="key=value defaults file (flags override)")
 
@@ -135,7 +135,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
 
     p = sub.add_parser("pressure", help="finite-depth pressure matrix a_n(t) as CSV")
-    common(p, fans_out=True)
+    common(p, workers_help="processes for the per-tree sums, used only when a level of the "
+           "fiber point table would pass its size cap")
     p.add_argument("--t", type=_grid, default="0:0.4:21")
     p.add_argument("--n", type=_int_pair, default="4:20")
     p.add_argument("--window", type=_int_pair, default=None)
@@ -151,7 +152,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--box-out", default=None, help="optional eps,count CSV path")
 
     p = sub.add_parser("perturb", help="kink or gap scan over a symmetric x grid")
-    common(p, "--base", fans_out=True)
+    common(p, "--base", workers_help="processes for the cells of the scan")
     p.add_argument("--blocks", default="2x2", help="sign schedule AxB")
     p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
     p.add_argument("--x", type=_grid, default="-0.1:0.1:5")

@@ -30,8 +30,10 @@ each run's step log to its leaves, so every leaf gets the same arithmetic on
 the same inputs in the same order as a level over all leaves, and no bit
 moves; step-log extremes and edge residuals range over the same values.
 
-Run weights (tree_log_sums): a sum of exp(-t * log_deriv) over the leaves
-needs no value per leaf.  Run r carries lo_r and hi_r, the least and largest
+Run weights (tree_log_sums, the per-tree fallback of
+pressure.log_operator_sums when a level of its fiber point table would pass
+the size cap, and the step extremes of experiments.gap_scan): a sum of
+exp(-t * log_deriv) over the leaves needs no value per leaf.  Run r carries lo_r and hi_r, the least and largest
 log-derivative of its leaves, and S_r(t), the sum over them of
 exp(-t (ld_i - lo_r)), which lies in [1, count_r]; until the first merge
 every run is one leaf and S is 1.  A level adds the run's step log to lo_r

@@ -6,8 +6,8 @@ exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 |l|^{-t n} (50**-20 underflows float64), so every sum is carried in log
 domain.  operator_power is the independent oracle of the pressure sums: it
 materializes every leaf block, reduces it with one logsumexp per t and folds
-the blocks with logaddexp in word order, where pressure reduces over the
-traversal's runs (orbits.tree_log_sums).  logsumexp_slope evaluates the leaf
+the blocks with logaddexp in word order, where pressure sweeps a
+deduplicated point table per fiber (pressure.log_operator_sums).  logsumexp_slope evaluates the leaf
 arrays that pressure.WindowPressure caches for its zero finder.
 """
 

@@ -204,9 +204,11 @@ def test_c09_spread_certificate_and_gap_growth():
 
 
 def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
-    # 2^4-leaf blocks: every tree of the gap scan's window caches deeper than 5
-    # streams prefix blocks, and the pressure and kink sums split a level that
-    # would double past 4 runs into chunks.
+    # At the default block size the pressure and kink sums come from the fiber
+    # point table in one process.  2^4-leaf blocks cap the table at 4 points, so
+    # the sums fall back to per-tree jobs that split a level that would double
+    # past 4 runs into chunks, and every tree of the gap scan's window caches
+    # deeper than 5 streams prefix blocks.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         outputs = []

@@ -33,8 +33,10 @@ def test_pressure_zero_column(tmp_path):
 
 
 def test_pressure_deterministic_across_workers(tmp_path, monkeypatch):
-    # A block of 2^3 leaves makes the run-weighted sums split every level that
-    # would double past 2 runs into chunks.
+    # At the default block size the sums come from the fiber point table in
+    # one process.  A block of 2^3 leaves caps the table at 2 points, so the
+    # sums fall back to per-tree jobs whose run-weighted sums split every level
+    # that would double past 2 runs into chunks.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (3, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         for anchor in ("1", "-1.05+0.1i"):
