@@ -31,20 +31,57 @@ the same inputs in the same order as a level over all leaves, and no bit
 moves; step-log extremes and edge residuals range over the same values.
 
 Run weights (tree_log_sums, the per-tree fallback of
-pressure.log_operator_sums when a level of its fiber point table would pass
-the size cap, and the step extremes of experiments.gap_scan): a sum of
-exp(-t * log_deriv) over the leaves needs no value per leaf.  Run r carries lo_r and hi_r, the least and largest
-log-derivative of its leaves, and S_r(t), the sum over them of
-exp(-t (ld_i - lo_r)), which lies in [1, count_r]; until the first merge
-every run is one leaf and S is 1.  A level adds the run's step log to lo_r
-and hi_r, a merge takes each group's min and max and adds up
-S_r exp(-t (lo_r - lo_group)), and the tree's sum is
+pressure.log_operator_sums when a fiber point table would pass its size cap,
+and the step extremes of experiments.gap_scan): a sum of
+exp(-t * log_deriv) over the leaves needs no value per leaf.  Run r carries
+lo_r and hi_r, the least and largest log-derivative of its leaves, and
+S_r(t), the sum over them of exp(-t (ld_i - lo_r)), which lies in
+[1, count_r]; until the first merge every run is one leaf and S is 1.  A
+level adds the run's step log to lo_r and hi_r, a merge takes each group's
+min and max and adds up S_r exp(-t (lo_r - lo_group)), and the tree's sum is
 -t min lo + log sum_r S_r exp(-t (lo_r - min lo)).  Rounding x + c is
 monotone in x, so lo_r and hi_r are the extremes of the values a
 leaf-by-leaf traversal computes for the run's leaves, bit for bit, and so
 are the leaf and step extremes of the tree; S is not, as its shifts are fixed
 at the merge while later levels round lo_r alone (a few ulps against a
 direct sum).  At t = 0, S holds the exact leaf counts.
+
+Fiber point tables (table_log_sums): the depth-n trees at fiber j for every
+n of a range are reduced over one deduplicated point set per level.  Every
+f_l fixes 1 and sends -1 to 1, and in float64 1 is exactly its own branch-0
+preimage and -1 its branch-1 preimage, so from anchor 1 every depth-n tree
+is a subtree of the one depth-n_max tree and the trees of a range share
+nearly all their bit-distinct points.  The build runs top-down: P_{n_max} is
+{anchor}; for k = n_max..2 it takes the step logs s_k of P_k (the step-log
+identity below) and their branch-0 roots, and P_{k-1} is [U, -U] with U the
+bit-distinct roots, found by one stable argsort and a uint64 neighbour
+compare (the idiom of _merge_starts).  Branch-0 roots have Re > 0.88, so U
+and -U share no point.  Each point of P_k keeps the index c0 of its root in
+U, and c1 = c0 + |U| is that of its negative.  For n_min <= k - 1 the anchor
+is appended to P_{k-1} unless it is its own branch-0 root (anchor 1 is);
+should it equal another point of P_{k-1}, that point is only repeated, which
+moves no sum.  Level 1 keeps only its step logs.
+
+The sweep runs upward.  For p in P_k let L_k(p) and H_k(p) be the least and
+largest log-derivative of the leaves of the depth-k tree from p at fiber j,
+and S_k(p) in [1, 2^k] their sum of exp(-t (ld - L_k(p))).  Then L_1 = H_1 =
+s_1 and S_1 = 2 (the first-bit identity below), and with
+m = min(L(c0), L(c1))
+
+    L_k = s_k + m,   H_k = s_k + max(H(c0), H(c1)),
+    S_k = S(c0) exp(-t (L(c0) - m)) + S(c1) exp(-t (L(c1) - m)),
+
+so the depth-n sum is -t L_n(a) + log S_n(a) at the anchor's index a in
+P_n, every depth from one sweep.  L and H do not depend on t: they are swept
+once, keeping each level's shifts, and S once per t over the kept shifts, so
+no array holds one row per t.  At t = 0, S_n(a) = 2^n exactly.  The sweep
+adds a leaf's step logs from the leaf end and the traversal from the root,
+so the leaf extremes can differ from the traversal's in the last bits (a few
+ulps), and the sums from a direct sum over the leaves likewise.  Size rule:
+a level whose 2|P_k| + 1 points would pass 2**(_BLOCK_LOG2 - 2) is not built
+(checked before its roots are taken) and table_log_sums returns None; only
+points that never merge get there, such as those of real parameters seen
+from an off-axis anchor.
 
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
@@ -429,6 +466,102 @@ def _run_weighted_sums(seq, j, n, anchor, metric, neg_t, stats):
             totals.append(terms.sum())
         sums.append(low * neg_t + np.log((2 if n else 1) * np.array(totals)))
     return np.logaddexp.reduce(sums)
+
+
+def _distinct_roots(l, pts):
+    """Take the branch-0 roots of pts in place; return the bit-distinct ones and each root's index among them."""
+    _branch0_root(l, pts)
+    order = np.argsort(pts, kind="stable")
+    roots = pts[order]
+    bits = roots.view(np.uint64)
+    first = np.empty(roots.size, bool)  # of a group of bit-identical roots
+    first[0] = True
+    first[1:] = (bits[2:] != bits[:-2]).view(np.uint16)
+    rank = np.cumsum(first, dtype=np.int32)
+    rank -= 1
+    index = np.empty_like(rank)
+    index[order] = rank
+    return roots[first], index
+
+
+def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
+    """The build of the fiber point table (module docstring), or None past the size cap.
+
+    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor
+    in P_k), the step logs of level 1 and the anchor's index in P_1.  Below
+    level n_lo the anchor is not kept, and the index is that of another point.
+    """
+    cap = 1 << (_BLOCK_LOG2 - 2)
+    key = np.array([anchor]).tobytes()
+    pts, where, levels = np.array([anchor]), 0, []
+    for k in range(n_hi, 1, -1):  # l_{j+n_hi} first
+        if 2 * pts.size + 1 > cap:
+            return None
+        l = at(seq, j + k)
+        steps = _step_logs(l, pts, metric)
+        half, c0 = _distinct_roots(l, pts)
+        levels.append((steps, c0, half.size, where))
+        pts = np.concatenate((half, -half))  # branch-0 roots have Re > 0.88: no overlap
+        where = int(c0[where])  # the anchor's branch-0 root: anchor 1 is its own
+        if k > n_lo and pts[where : where + 1].tobytes() != key:
+            where = pts.size
+            pts = np.append(pts, anchor)
+    return levels, _step_logs(at(seq, j + 1), pts, metric), where
+
+
+def _sweep(levels, lo, where, n_lo, neg_t):
+    """The upward sweep over a _fiber_table (module docstring)."""
+    hi, size, plan, ends = lo, lo.size, [], [(lo[where], lo[where])]
+    while levels:  # L and H, keeping each level's shifts of the weights
+        steps, c0, half, where = levels.pop()
+        c1 = c0 + half
+        lo0, lo1 = lo[c0], lo[c1]
+        hi = np.maximum(hi[c0], hi[c1])
+        hi += steps
+        swap = lo1 < lo0
+        plan.append((np.where(swap, c1, c0), np.where(swap, c0, c1), np.abs(lo0 - lo1), where))
+        lo = np.minimum(lo0, lo1)
+        lo += steps
+        ends.append((lo[where], hi[where]))
+    weights_at = np.empty((len(ends), neg_t.size))
+    weights_at[0] = 2.0
+    for i, t in enumerate(neg_t):  # S, one t at a time: no array holds a row per t
+        weights = np.full(size, 2.0)
+        for k, (c_min, c_max, gap, where) in enumerate(plan, start=1):
+            shifted = np.multiply(gap, t)
+            np.exp(shifted, out=shifted)
+            shifted *= weights[c_max]
+            shifted += weights[c_min]
+            weights = shifted
+            weights_at[k, i] = weights[where]
+    low, high = (np.array(v[n_lo - 1 :]) for v in zip(*ends))
+    return np.multiply.outer(low, neg_t) + np.log(weights_at[n_lo - 1 :]), low, high
+
+
+def table_log_sums(
+    seq: SequenceSpec,
+    j: int,
+    n_range: tuple[int, int],
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+    t_grid=(0.0,),
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """log of the sum of exp(-t * log_deriv) over the leaves of the depth-n tree, for every n in n_range and t in t_grid.
+
+    The fiber point table of the module docstring: returns (sums,
+    leaf_log_min, leaf_log_max) with one row of sums per depth and one column
+    per t, or None when a level of the table would pass 2**(_BLOCK_LOG2 - 2)
+    points.  The leaf extremes add a leaf's step logs in another order than
+    the traversal, so they can differ from its in the last bits.
+    """
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError("need 1 <= n_min <= n_max")
+    _validate(n_hi, anchor)
+    table = _fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric)
+    if table is None:
+        return None
+    return _sweep(*table, n_lo, -np.asarray(t_grid, dtype=np.float64))
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

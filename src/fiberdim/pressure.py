@@ -13,44 +13,24 @@ row step) or of max_n a_n (argmax row step); bisection is the fallback step.
 The slope floor min(log(80/3), min_n leaf_log_min_n / n) converts the
 residual tolerance into a t-uncertainty.
 
-Fiber point tables: log_operator_sums reduces every depth of its range over
-one deduplicated point set per fiber.  Every f_l fixes 1 and sends -1 to 1,
-and in float64 1 is exactly its own branch-0 preimage and -1 its branch-1
-preimage, so from anchor 1 every depth-n tree is a subtree of the one
-depth-n_max tree and the trees of a range hold nearly the same bit-distinct
-points at each fiber.  The build runs top-down, once per call: P_{n_max} is
-{anchor}; for k = n_max..2 it takes the step logs s_k of P_k (orbits'
-step-log identity) and their branch-0 roots, and P_{k-1} is [U, -U] with U
-the bit-distinct roots, found by one stable argsort and a uint64 neighbour
-compare (the idiom of orbits._merge_starts).  Branch-0 roots have Re > 0.88,
-so U and -U share no point.  Each point of P_k keeps the index c0 of its
-root in U, and c1 = c0 + |U| is that of its negative.  For n_min <= k - 1
-the anchor is appended to P_{k-1} unless it is its own branch-0 root (anchor
-1 is); should it equal another point of P_{k-1}, that point is only
-repeated, which moves no sum.  Level 1 keeps only its step logs.
+Fiber point tables: log_operator_sums takes every depth of its range from
+one table per fiber (orbits.table_log_sums): the bit-distinct points of each
+level of the depth-n_max tree from the anchor, built once top-down, and one
+upward sweep that carries, for each point p of level k, the least and
+largest log-derivative L_k(p), H_k(p) of the leaves below it and their
+weight S_k(p) = sum exp(-t (ld - L_k(p))), so that
+log L^n 1(anchor) = -t L_n(a) + log S_n(a) at the anchor's index a for every
+n at once, in this process.  From anchor 1 the shallower trees are subtrees
+of the deepest one (1 is exactly its own branch-0 preimage in float64), so
+the levels share their points.  The sweep adds a leaf's step logs in
+another order than the traversal, so the sums and leaf extremes can differ
+from a direct traversal's in the last bits.
 
-The sweep runs upward.  For p in P_k let L_k(p) and H_k(p) be the least and
-largest log-derivative of the leaves of the depth-k tree from p at fiber j,
-and S_k(p) in [1, 2^k] their sum of exp(-t (ld - L_k(p))).  Then L_1 = H_1 =
-s_1 and S_1 = 2 (the leaves 0w and 1w have the same log-derivative: the
-first-bit identity of orbits.py), and with m = min(L(c0), L(c1))
-
-    L_k = s_k + m,   H_k = s_k + max(H(c0), H(c1)),
-    S_k = S(c0) exp(-t (L(c0) - m)) + S(c1) exp(-t (L(c1) - m)),
-
-so log L^n 1(anchor) = -t L_n(a) + log S_n(a) at the anchor's index a in P_n,
-every depth from one sweep.  L and H do not depend on t: they are swept once,
-keeping each level's shifts, and S once per t over the kept shifts, so no
-array holds one row per t.  At t = 0, S_n(a) = 2^n exactly.  The sweep adds a
-leaf's step logs from the leaf end and the traversal from the root, so the
-leaf extremes can differ from the traversal's in the last bits (a few ulps),
-and the sums from a direct sum over the leaves likewise.
-
-Size rule: a level whose 2|P_k| + 1 points would pass 2**(_BLOCK_LOG2 - 2)
-(checked before its roots are taken) sends the whole call to the tree plan
-below, whose tree_log_sums jobs split such levels into chunks.  Only points
-that never merge get there, such as those of real parameters seen from an
-off-axis anchor; there the workers argument fans the trees out.
+Size rule: a table level that would pass 2**(_BLOCK_LOG2 - 2) points sends
+the whole call to the tree plan below, whose tree_log_sums jobs split such
+levels into chunks.  Only points that never merge get there, such as those
+of real parameters seen from an off-axis anchor; there the workers argument
+fans the trees out.
 
 Tree plans: _Trees lists the trees (depth, root) whose sums give every
 depth.  From anchor 1, |f_l'(+-1)| = |l| in both metrics (the spherical factor
@@ -62,13 +42,14 @@ With W_n the pullback of -1 to depth n - 1, every depth n <= n_max costs one
 tree W_n, and the leaf extremes follow min_n = log|l_{j+n}| + min(min_{n-1},
 min W_n) from min_0 = 0.  Any other anchor is reduced over its own depth-n
 trees.  The recurrence adds the same terms in another order than a direct
-depth-n sum, so a_n can differ from it in the last ulp.  The fallback of log_operator_sums runs one orbits.tree_log_sums job
-per tree, which reduces the whole t grid over the tree's runs, counting each
-run of the last level twice (the first-bit identity); results come back in
-tree order, so they do not depend on the worker count.  WindowPressure, which
-holds the zero finder and evaluates at arbitrary t, keeps the 2**(depth-1)
-values of one orbits.leaf_log_derivs half per tree, the direct traversal,
-which transfer.logsumexp_slope counts twice.  A tree of more than
+depth-n sum, so a_n can differ from it in the last ulp.  The fallback of
+log_operator_sums runs one orbits.tree_log_sums job per tree, which reduces
+the whole t grid over the tree's runs, counting each run of the last level
+twice (the first-bit identity); results come back in tree order, so they do
+not depend on the worker count.  WindowPressure, which holds the zero finder
+and evaluates at arbitrary t, keeps the 2**(depth-1) values of one
+orbits.leaf_log_derivs half per tree, the direct traversal, which
+transfer.logsumexp_slope counts twice.  A tree of more than
 2**(_BLOCK_LOG2 + 1) leaves streams through the traversal's prefix blocks, so
 only the cached halves grow with depth.
 """
@@ -80,18 +61,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import orbits
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import (
-    PLANAR,
-    _branch0_root,
-    _step_logs,
-    _validate,
-    check_depth,
-    leaf_log_derivs,
-    tree_log_sums,
-)
+from .orbits import PLANAR, check_depth, leaf_log_derivs, table_log_sums, tree_log_sums
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
 from .transfer import logsumexp_slope
@@ -100,19 +72,14 @@ LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 
 
-def _depth_range(n_range) -> tuple[int, int]:
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError("need 1 <= n_min <= n_max")
-    check_depth(n_hi)
-    return n_lo, n_hi
-
-
 class _Trees:
     """The trees whose leaf sums give log L^n 1(anchor) at fiber j for n_lo <= n <= n_hi."""
 
     def __init__(self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex):
-        n_lo, n_hi = _depth_range(n_range)
+        n_lo, n_hi = int(n_range[0]), int(n_range[1])
+        if not 1 <= n_lo <= n_hi:
+            raise ValueError("need 1 <= n_min <= n_max")
+        check_depth(n_hi)
         self.n_lo = n_lo
         if complex(anchor) == 1:
             self.roots = [(n - 1, -1.0 + 0.0j) for n in range(1, n_hi + 1)]
@@ -169,76 +136,6 @@ def _tree_sums(args):
     return sums, stats.leaf_log_min, stats.leaf_log_max
 
 
-def _distinct_roots(l, pts):
-    """Take the branch-0 roots of pts in place; return the bit-distinct ones and each root's index among them."""
-    _branch0_root(l, pts)
-    order = np.argsort(pts, kind="stable")
-    roots = pts[order]
-    bits = roots.view(np.uint64)
-    first = np.empty(roots.size, bool)  # of a group of bit-identical roots
-    first[0] = True
-    first[1:] = (bits[2:] != bits[:-2]).view(np.uint16)
-    rank = np.cumsum(first, dtype=np.int32)
-    rank -= 1
-    index = np.empty_like(rank)
-    index[order] = rank
-    return roots[first], index
-
-
-def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
-    """The build of the fiber point table (module docstring), or None past the size cap.
-
-    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor
-    in P_k), the step logs of level 1 and the anchor's index in P_1.  Below
-    level n_lo the anchor is not kept, and the index is that of another point.
-    """
-    cap = 1 << (orbits._BLOCK_LOG2 - 2)
-    key = np.array([anchor]).tobytes()
-    pts, where, levels = np.array([anchor]), 0, []
-    for k in range(n_hi, 1, -1):  # l_{j+n_hi} first
-        if 2 * pts.size + 1 > cap:
-            return None
-        l = at(seq, j + k)
-        steps = _step_logs(l, pts, metric)
-        half, c0 = _distinct_roots(l, pts)
-        levels.append((steps, c0, half.size, where))
-        pts = np.concatenate((half, -half))  # branch-0 roots have Re > 0.88: no overlap
-        where = int(c0[where])  # the anchor's branch-0 root: anchor 1 is its own
-        if k > n_lo and pts[where : where + 1].tobytes() != key:
-            where = pts.size
-            pts = np.append(pts, anchor)
-    return levels, _step_logs(at(seq, j + 1), pts, metric), where
-
-
-def _sweep(levels, lo, where, n_lo, neg_t):
-    """The upward sweep over a _fiber_table (module docstring): log sums and leaf extremes from depth n_lo."""
-    hi, size, plan, ends = lo, lo.size, [], [(lo[where], lo[where])]
-    while levels:  # L and H, keeping each level's shifts of the weights
-        steps, c0, half, where = levels.pop()
-        c1 = c0 + half
-        lo0, lo1 = lo[c0], lo[c1]
-        hi = np.maximum(hi[c0], hi[c1])
-        hi += steps
-        swap = lo1 < lo0
-        plan.append((np.where(swap, c1, c0), np.where(swap, c0, c1), np.abs(lo0 - lo1), where))
-        lo = np.minimum(lo0, lo1)
-        lo += steps
-        ends.append((lo[where], hi[where]))
-    weights_at = np.empty((len(ends), neg_t.size))
-    weights_at[0] = 2.0
-    for i, t in enumerate(neg_t):  # S, one t at a time: no array holds a row per t
-        weights = np.full(size, 2.0)
-        for k, (c_min, c_max, gap, where) in enumerate(plan, start=1):
-            shifted = np.multiply(gap, t)
-            np.exp(shifted, out=shifted)
-            shifted *= weights[c_max]
-            shifted += weights[c_min]
-            weights = shifted
-            weights_at[k, i] = weights[where]
-    low, high = (np.array(v[n_lo - 1 :]) for v in zip(*ends))
-    return np.multiply.outer(low, neg_t) + np.log(weights_at[n_lo - 1 :]), low, high
-
-
 def log_operator_sums(
     seq: SequenceSpec,
     t_grid,
@@ -252,20 +149,17 @@ def log_operator_sums(
 
     Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
     one column per t; the extremes are those of the depth-n leaf
-    log-derivatives.  Every depth comes from one fiber point table, built
-    top-down from the anchor to depth n_max, and one upward sweep (module
-    docstring), in this process.  When a level of the table would pass
-    2**(_BLOCK_LOG2 - 2) points, the sums come instead from one
+    log-derivatives.  Every depth comes from one fiber point table
+    (orbits.table_log_sums), in this process.  When a level of the table
+    would pass 2**(_BLOCK_LOG2 - 2) points, the sums come instead from one
     orbits.tree_log_sums job per tree of _Trees, fanned out over `workers`
     processes.  The table's leaf extremes add the same step logs as the
     traversal in another order, so they can differ from its in the last bits.
     """
-    n_lo, n_hi = _depth_range(n_range)
-    _validate(n_hi, anchor)
     t_grid = tuple(float(t) for t in t_grid)
-    table = _fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric)
-    if table is not None:
-        return _sweep(*table, n_lo, -np.array(t_grid))
+    sums = table_log_sums(seq, j, n_range, anchor, metric, t_grid)
+    if sums is not None:
+        return sums
     trees = _Trees(seq, j, n_range, anchor)
     jobs = [(seq, j, depth, root, metric, t_grid) for depth, root in trees.roots]
     sums, lo, hi = zip(*run_jobs(_tree_sums, jobs, workers))

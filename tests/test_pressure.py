@@ -23,7 +23,7 @@ from fiberdim import (
 )
 from fiberdim import orbits
 from fiberdim.cli import main
-from fiberdim.pressure import WindowPressure, _fiber_table, log_operator_sums
+from fiberdim.pressure import WindowPressure, log_operator_sums
 from fiberdim.sequences import parse_sequence
 
 CONST50 = Constant(50)
@@ -170,8 +170,7 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
     # the first case is reduced over the fiber point table, the second passes
     # the size cap (its points never merge) and falls back to tree_log_sums
     seq = parse_sequence(spec)
-    fits = _fiber_table(seq, 0, *n_range, complex(anchor), "planar") is not None
-    assert fits == table
+    assert (orbits.table_log_sums(seq, 0, n_range, anchor, "planar", ()) is not None) == table
     tracemalloc.start()
     try:
         log_operator_sums(seq, np.linspace(0, 0.4, 21), n_range, 0, anchor, "planar")
