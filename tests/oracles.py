@@ -59,3 +59,15 @@ def cesaro_from_blocks(block_lengths, first_sign, n):
         if covered >= n:
             return total
     raise ValueError("block list too short for n")
+
+
+def bisection_zero(window, reduce, bracket, tol):
+    """Bisection of reduce(a_n(t)) to residual <= tol, on a WindowPressure's rows."""
+    lo, hi = bracket
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        f = float(reduce(window.rows_and_slopes(mid)[0]))
+        if abs(f) <= tol:
+            return mid
+        lo, hi = (mid, hi) if f > 0 else (lo, mid)
+    raise AssertionError("bisection oracle did not converge")

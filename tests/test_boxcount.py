@@ -15,6 +15,8 @@ from fiberdim import (
 )
 from fiberdim import orbits
 from fiberdim.cli import main
+from fiberdim.pressure import WindowPressure
+from oracles import bisection_zero
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -132,6 +134,18 @@ def test_dimension_box_check_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (want / "stdout.txt").read_text()
     assert roots.read_bytes() == (want / "roots.csv").read_bytes()
     assert box.read_bytes() == (want / "box.csv").read_bytes()
+
+
+def test_dimension_golden_roots_match_the_bisection_oracle():
+    # every t* of the golden roots CSV lies within its printed uncertainty of a
+    # bisection of the solver's rows to tol/100 (tol: the CLI default, 1e-4)
+    window = WindowPressure(Constant(50), (8, 12))
+    lines = (GOLDEN / "dimension_const50" / "roots.csv").read_text().splitlines()[1:]
+    for which, t_star, uncertainty, n_window in (line.split(",") for line in lines):
+        assert n_window == "8:12"
+        want = bisection_zero(window, {"lower": np.min, "upper": np.max}[which],
+                              window.bracket(), 1e-4 / 100)
+        assert abs(float(t_star) - want) <= float(uncertainty)
 
 
 @pytest.mark.parametrize("anchor", [1 + 0j, -1.05 + 0.1j])

@@ -25,6 +25,7 @@ from fiberdim import orbits
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure, log_operator_sums
 from fiberdim.sequences import parse_sequence
+from oracles import bisection_zero
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -258,18 +259,6 @@ def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
             assert slope == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def _bisection_zero(window, reduce, bracket, tol):
-    """Test-local bisection of reduce(a_n(t)) to residual <= tol, on the solver's rows."""
-    lo, hi = bracket
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = float(reduce(window.rows_and_slopes(mid)[0]))
-        if abs(f) <= tol:
-            return mid
-        lo, hi = (mid, hi) if f > 0 else (lo, mid)
-    raise AssertionError("bisection oracle did not converge")
-
-
 @pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 def test_newton_zeros_match_bisection_oracle(seq, metric):
@@ -277,7 +266,7 @@ def test_newton_zeros_match_bisection_oracle(seq, metric):
     window = WindowPressure(seq, (8, 12), 0, 1.0, metric)
     for zero, reduce in zip(dimension_pair(seq, (8, 12), tol, metric=metric), (np.min, np.max)):
         assert abs(zero.residual) <= tol
-        want = _bisection_zero(window, reduce, zero.bracket, tol / 100)
+        want = bisection_zero(window, reduce, zero.bracket, tol / 100)
         assert abs(zero.t_star - want) <= zero.uncertainty
 
 
@@ -301,7 +290,7 @@ def test_uncertainty_uses_the_slope_floor():
         dimension_pair(seq, window, tol, anchor=anchor, metric="spherical"), (np.min, np.max)
     ):
         assert zero.uncertainty == pytest.approx(tol / s_min, rel=1e-12, abs=0)
-        want = _bisection_zero(wp, reduce, zero.bracket, tol / 100)
+        want = bisection_zero(wp, reduce, zero.bracket, tol / 100)
         assert abs(zero.t_star - want) <= zero.uncertainty
     # planar steps are at least log(80/3): the claim is tol / log(80/3) exactly
     assert bowen_zero(CONST50, "upper", (4, 6), tol).uncertainty == tol / math.log(80 / 3)
