@@ -13,24 +13,24 @@ row step) or of max_n a_n (argmax row step); bisection is the fallback step.
 The slope floor min(log(80/3), min_n leaf_log_min_n / n) converts the
 residual tolerance into a t-uncertainty.
 
-Fiber point tables: log_operator_sums takes every depth of its range from
-one table per fiber (orbits.table_log_sums): the bit-distinct points of each
-level of the depth-n_max tree from the anchor, built once top-down, and one
-upward sweep that carries, for each point p of level k, the least and
-largest log-derivative L_k(p), H_k(p) of the leaves below it and their
-weight S_k(p) = sum exp(-t (ld - L_k(p))), so that
-log L^n 1(anchor) = -t L_n(a) + log S_n(a) at the anchor's index a for every
-n at once, in this process.  From anchor 1 the shallower trees are subtrees
-of the deepest one (1 is exactly its own branch-0 preimage in float64), so
-the levels share their points.  The sweep adds a leaf's step logs in
-another order than the traversal, so the sums and leaf extremes can differ
-from a direct traversal's in the last bits.
+Fiber point tables: log_operator_sums and WindowPressure take every depth
+of their range from one table per fiber (orbits.fiber_table): the
+bit-distinct points of each level of the depth-n_max tree from the anchor,
+built once top-down, and upward sweeps that carry, for each point p of
+level k, the least and largest log-derivative L_k(p), H_k(p) of the leaves
+below it (once per table), their weight S_k(p) = sum exp(-t (ld - L_k(p)))
+(once per t) and, for WindowPressure only, their S-weighted mean M_k(p), so
+that log L^n 1(anchor) = -t L_n(a) + log S_n(a) and a_n' = -M_n(a)/n at the
+anchor's index a for every n at once, in this process.  From anchor 1 the
+shallower trees are subtrees of the deepest one (1 is exactly its own
+branch-0 preimage in float64), so the levels share their points.  The sweep
+adds a leaf's step logs in another order than the traversal, so the sums and
+leaf extremes can differ from a direct traversal's in the last bits.
 
 Size rule: a table level that would pass 2**(_BLOCK_LOG2 - 2) points sends
-the whole call to the tree plan below, whose tree_log_sums jobs split such
-levels into chunks.  Only points that never merge get there, such as those
-of real parameters seen from an off-axis anchor; there the workers argument
-fans the trees out.
+the whole call to the tree plan below.  Only points that never merge get
+there, such as those of real parameters seen from an off-axis anchor; there
+the workers argument fans the trees out.
 
 Tree plans: _Trees lists the trees (depth, root) whose sums give every
 depth.  From anchor 1, |f_l'(+-1)| = |l| in both metrics (the spherical factor
@@ -42,16 +42,12 @@ With W_n the pullback of -1 to depth n - 1, every depth n <= n_max costs one
 tree W_n, and the leaf extremes follow min_n = log|l_{j+n}| + min(min_{n-1},
 min W_n) from min_0 = 0.  Any other anchor is reduced over its own depth-n
 trees.  The recurrence adds the same terms in another order than a direct
-depth-n sum, so a_n can differ from it in the last ulp.  The fallback of
+depth-n sum, so a_n can differ from it in the last ulp.  Here
 log_operator_sums runs one orbits.tree_log_sums job per tree, which reduces
-the whole t grid over the tree's runs, counting each run of the last level
-twice (the first-bit identity); results come back in tree order, so they do
-not depend on the worker count.  WindowPressure, which holds the zero finder
-and evaluates at arbitrary t, keeps the 2**(depth-1) values of one
-orbits.leaf_log_derivs half per tree, the direct traversal, which
-transfer.logsumexp_slope counts twice.  A tree of more than
-2**(_BLOCK_LOG2 + 1) leaves streams through the traversal's prefix blocks, so
-only the cached halves grow with depth.
+the whole t grid over the tree's runs and splits levels past the cap into
+chunks; results come back in tree order, so they do not depend on the worker
+count.  WindowPressure keeps one orbits.leaf_log_derivs half per tree, which
+transfer.logsumexp_slope counts twice at every t.
 """
 
 from __future__ import annotations
@@ -63,13 +59,14 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, check_depth, leaf_log_derivs, table_log_sums, tree_log_sums
+from .orbits import PLANAR, check_depth, fiber_table, leaf_log_derivs, tree_log_sums
 from .parallel import run_jobs
 from .sequences import SequenceSpec, at, format_sequence
 from .transfer import logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
+_ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero() accepts
 
 
 class _Trees:
@@ -125,11 +122,6 @@ class _Trees:
         return tuple(np.array(out).T)
 
 
-def _multiplicity(depth: int) -> int:
-    """How many leaves each value of leaf_log_derivs(..., depth, ...) stands for."""
-    return 2 if depth else 1
-
-
 def _tree_sums(args):
     """Log sums at every t, and leaf extremes, of one tree."""
     sums, stats = tree_log_sums(*args)
@@ -150,16 +142,16 @@ def log_operator_sums(
     Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
     one column per t; the extremes are those of the depth-n leaf
     log-derivatives.  Every depth comes from one fiber point table
-    (orbits.table_log_sums), in this process.  When a level of the table
+    (orbits.fiber_table), in this process.  When a level of the table
     would pass 2**(_BLOCK_LOG2 - 2) points, the sums come instead from one
     orbits.tree_log_sums job per tree of _Trees, fanned out over `workers`
     processes.  The table's leaf extremes add the same step logs as the
     traversal in another order, so they can differ from its in the last bits.
     """
     t_grid = tuple(float(t) for t in t_grid)
-    sums = table_log_sums(seq, j, n_range, anchor, metric, t_grid)
-    if sums is not None:
-        return sums
+    table = fiber_table(seq, j, n_range, anchor, metric)
+    if table is not None:
+        return table.log_sums(t_grid), table.leaf_log_min, table.leaf_log_max
     trees = _Trees(seq, j, n_range, anchor)
     jobs = [(seq, j, depth, root, metric, t_grid) for depth, root in trees.roots]
     sums, lo, hi = zip(*run_jobs(_tree_sums, jobs, workers))
@@ -255,22 +247,39 @@ class BowenZero:
     evaluations: int
 
 
+class _TreeHalves:
+    """The window's sums past the table's size cap: one leaf_log_derivs half per tree of _Trees."""
+
+    def __init__(self, seq, window, j, anchor, metric):
+        self._trees = _Trees(seq, j, window, anchor)
+        roots = self._trees.roots
+        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in roots))
+        # each value of a depth-d half stands for 2 leaves, the depth-0 anchor for 1
+        self._lds = [(half, 2 if d else 1) for half, (d, _) in zip(halves, roots)]
+        self._w = np.empty(max(half.size for half in halves))  # the exponentials of every t
+        self.leaf_log_min = self._trees.per_depth([s.leaf_log_min for s in stats], min)
+        self.leaf_log_max = self._trees.per_depth([s.leaf_log_max for s in stats], max)
+
+    def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        sums, slopes = zip(
+            *(logsumexp_slope(lds, t, mult, self._w[: lds.size]) for lds, mult in self._lds)
+        )
+        return self._trees.per_depth_slopes(sums, slopes, t)
+
+
 class WindowPressure:
-    """The half trees of one window of depths in word order; evaluates and roots a_n(t) on them."""
+    """One window of depths swept from its fiber point table; evaluates and roots a_n(t) on it."""
 
     def __init__(self, seq, window, j=0, anchor=1.0 + 0.0j, metric=PLANAR):
         if isinstance(window, int):
             window = (window, window)
-        w_lo, w_hi = int(window[0]), int(window[1])
-        self.trees = _Trees(seq, j, (w_lo, w_hi), anchor)
-        self.n_values = np.arange(w_lo, w_hi + 1)
-        roots = self.trees.roots
-        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in roots))
-        self.lds = [(half, _multiplicity(d)) for half, (d, _) in zip(halves, roots)]
-        # one buffer for the exponentials of every evaluation (rows_and_slopes)
-        self._w = np.empty(max(half.size for half in halves))
-        self.leaf_log_min = self.trees.per_depth([s.leaf_log_min for s in stats], min)
-        self.leaf_log_max = self.trees.per_depth([s.leaf_log_max for s in stats], max)
+        window = int(window[0]), int(window[1])
+        self.n_values = np.arange(window[0], window[1] + 1)
+        self._sums = fiber_table(seq, j, window, anchor, metric) or _TreeHalves(
+            seq, window, j, anchor, metric
+        )
+        self.leaf_log_min = self._sums.leaf_log_min
+        self.leaf_log_max = self._sums.leaf_log_max
         self.evaluations = 0
         self._evaluated = {}
 
@@ -278,10 +287,7 @@ class WindowPressure:
         """a_n(t) and a_n'(t) for every window depth; each t is evaluated once."""
         if t not in self._evaluated:
             self.evaluations += 1
-            sums, slopes = zip(
-                *(logsumexp_slope(lds, t, mult, self._w[: lds.size]) for lds, mult in self.lds)
-            )
-            sums, slopes = self.trees.per_depth_slopes(sums, slopes, t)
+            sums, slopes = self._sums.log_sums_slopes(t)
             self._evaluated[t] = (sums / self.n_values, slopes / self.n_values)
         return self._evaluated[t]
 
@@ -304,9 +310,12 @@ class WindowPressure:
         point of the least row (lower) or of the argmax row (upper) never
         passes the zero; one not strictly inside the bracket, or one that did
         not halve the residual it stepped from, is replaced by a bisection
-        step.  The t-uncertainty is tol over the slope floor.  A tol the
-        float resolution of a_n cannot reach raises UnreachableTolerance (a
-        ValueError) once no float lies strictly inside the bracket.
+        step.  The t-uncertainty is tol over the slope floor.  A tol below
+        _ROUNDING_ULPS ulps of max |a_n| at the bracket ends lies below the
+        rounding of a_n, whose terms -t L_n/n and log S_n/n are about log 2
+        each, and raises UnreachableTolerance (a ValueError) before the first
+        step; a larger one the float resolution of a_n still cannot reach
+        raises it once no float lies strictly inside the bracket.
         """
 
         def envelope(t: float) -> tuple[float, float]:
@@ -323,6 +332,12 @@ class WindowPressure:
         if not (f_lo >= 0.0 >= f_hi):
             raise BracketFailure(
                 f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
+            )
+        scale = max(float(np.max(np.abs(self.rows_and_slopes(x)[0]))) for x in (lo, hi))
+        if tol < _ROUNDING_ULPS * np.spacing(scale):
+            raise UnreachableTolerance(
+                f"tol {tol:g} is below the float resolution of the pressure: max |a_n| at "
+                f"the bracket ends is {scale:.3g}, whose ulp is {np.spacing(scale):.3g}"
             )
         t, f = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
         best, use_newton = abs(f), True

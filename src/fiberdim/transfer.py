@@ -7,8 +7,9 @@ exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 domain.  operator_power is the independent oracle of the pressure sums: it
 materializes every leaf block, reduces it with one logsumexp per t and folds
 the blocks with logaddexp in word order, where pressure sweeps a
-deduplicated point table per fiber (pressure.log_operator_sums).  logsumexp_slope evaluates the leaf
-arrays that pressure.WindowPressure caches for its zero finder.
+deduplicated point table per fiber (orbits.fiber_table).  logsumexp_slope
+evaluates the leaf arrays that pressure.WindowPressure keeps for its zero
+finder past the table's size cap.
 """
 
 from __future__ import annotations

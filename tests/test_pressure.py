@@ -15,13 +15,12 @@ from fiberdim import (
     default_window,
     dimension_pair,
     leaf_log_derivs,
-    logsumexp,
     operator_power,
     pressure_curve,
     write_pressure_csv,
     write_roots_csv,
 )
-from fiberdim import orbits
+from fiberdim import orbits, pressure
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure, log_operator_sums
 from fiberdim.sequences import parse_sequence
@@ -171,7 +170,7 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
     # the first case is reduced over the fiber point table, the second passes
     # the size cap (its points never merge) and falls back to tree_log_sums
     seq = parse_sequence(spec)
-    assert (orbits.table_log_sums(seq, 0, n_range, anchor, "planar", ()) is not None) == table
+    assert (orbits.fiber_table(seq, 0, n_range, anchor, "planar") is not None) == table
     tracemalloc.start()
     try:
         log_operator_sums(seq, np.linspace(0, 0.4, 21), n_range, 0, anchor, "planar")
@@ -186,11 +185,11 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
-    # 2^3-leaf blocks: every window-cache tree deeper than 4 streams prefix
-    # blocks inside its leaf_log_derivs call, and the pressure sums fall back
-    # from the fiber point table (capped at 2 points) to per-tree jobs that
-    # split a level that would double past 2 runs into chunks.  From anchor 1
-    # the depths also come from the top-step recurrence over W_n.
+    # 2^3-leaf blocks: the fiber point table is capped at 2 points, so the
+    # pressure sums fall back to per-tree jobs that split a level that would
+    # double past 2 runs into chunks, and the window to leaf_log_derivs halves
+    # whose trees deeper than 4 stream prefix blocks.  From anchor 1 the
+    # depths also come from the top-step recurrence over W_n.
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
@@ -210,11 +209,10 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
         assert abs(window.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
     t = 0.23
     want_rows = [operator_power(seq, j, n, [t], anchor, metric)[0].log_value / n for n in depths]
-    rows, _ = window.rows_and_slopes(t)
+    rows, slopes = window.rows_and_slopes(t)
     assert np.abs(rows - want_rows).max() <= 1e-13
-    for (depth, root), (half, _) in zip(window.trees.roots, window.lds):  # word order
-        want = leaf_log_derivs(seq, j, depth, root, metric)[0]
-        assert np.array_equal(half, want)
+    for slope, n in zip(slopes, depths):
+        assert slope == pytest.approx(_leaf_slope(seq, j, n, anchor, metric, t), rel=1e-12, abs=0)
     want_bracket = (
         min(n * LOG2 / stats[n].leaf_log_max for n in depths),
         max(n * LOG2 / stats[n].leaf_log_min for n in depths),
@@ -227,35 +225,43 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("j", [0, 3])
 def test_window_leaf_extremes_match_operator_sums(spec, metric, anchor, j):
-    # The window cache takes each tree's leaf extremes from the direct
-    # traversal; log_operator_sums takes them from the fiber point table,
-    # which adds the step logs in the other order.  So this check was relaxed
-    # from bit equality to TABLE_ORDER_ULPS; it goes back to bit equality once
-    # the window cache reads the same table.
+    # the window and log_operator_sums read the same fiber point table, or,
+    # past its size cap, the traversal's extremes of the same trees
     seq = parse_sequence(spec)
     window = WindowPressure(seq, (8, 20), j, anchor, metric)
     _, leaf_min, leaf_max = log_operator_sums(seq, [0.0], (8, 20), j, anchor, metric)
-    assert np.all(_ulps(leaf_min, window.leaf_log_min) <= TABLE_ORDER_ULPS)
-    assert np.all(_ulps(leaf_max, window.leaf_log_max) <= TABLE_ORDER_ULPS)
+    assert np.array_equal(leaf_min, window.leaf_log_min)
+    assert np.array_equal(leaf_max, window.leaf_log_max)
+
+
+def _leaf_slope(seq, j, n, anchor, metric, t):
+    """a_n'(t) = -(sum w ld / sum w) / n over the depth-n leaves, w = exp(-t ld), by fsum."""
+    lds = leaf_log_derivs(seq, j, n, anchor, metric)[0]  # each value stands for two leaves
+    w = np.exp(lds * -t - np.max(lds * -t))
+    return -math.fsum(w * lds) / math.fsum(w) / n
 
 
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
-def test_window_slopes_match_direct_trees(monkeypatch, metric, anchor):
-    # anchor 1 takes the sigma-mixed top-step recurrence, the other anchor its
-    # own trees; 2^3-leaf blocks make every cached tree deeper than 4 stream prefix blocks
-    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
-    window = WindowPressure(MIXED, (4, 10), 0, anchor, metric)
+@pytest.mark.parametrize("block_log2", [None, 3])
+def test_window_rows_and_slopes_match_direct_trees(monkeypatch, metric, anchor, block_log2):
+    # at the default _BLOCK_LOG2 the window sweeps its fiber point table; with
+    # 2^3-leaf blocks the table is capped at 2 points and the window falls back
+    # to leaf_log_derivs halves (anchor 1 through the sigma-mixed top-step
+    # recurrence), whose trees deeper than 4 stream prefix blocks
+    if block_log2 is not None:
+        monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
     depths = range(4, 11)
-    direct = [leaf_log_derivs(MIXED, 0, n, anchor, metric)[0] for n in depths]
+    window = WindowPressure(MIXED, (4, 10), 0, anchor, metric)
     for t in (0.0, 0.18, 0.4):
         rows, slopes = window.rows_and_slopes(t)
-        sums = [logsumexp(lds * -t, mult) for lds, mult in window.lds]
-        want_rows = window.trees.per_depth(sums, np.logaddexp, -t) / window.n_values
-        assert np.array_equal(rows, want_rows)
-        for slope, n, lds in zip(slopes, depths, direct):
-            w = np.exp(lds * -t - np.max(lds * -t))
-            want = -math.fsum(w * lds) / math.fsum(w) / n
+        want = [operator_power(MIXED, 0, n, [t], anchor, metric)[0].log_value / n for n in depths]
+        assert np.abs(rows - want).max() <= 1e-13
+        if block_log2 is None:  # the same sweep as log_operator_sums
+            sums = log_operator_sums(MIXED, [t], (4, 10), 0, anchor, metric)[0][:, 0]
+            assert np.array_equal(rows, sums / window.n_values)
+        for slope, n in zip(slopes, depths):
+            want = _leaf_slope(MIXED, 0, n, anchor, metric, t)
             assert slope == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -268,6 +274,30 @@ def test_newton_zeros_match_bisection_oracle(seq, metric):
         assert abs(zero.residual) <= tol
         want = bisection_zero(window, reduce, zero.bracket, tol / 100)
         assert abs(zero.t_star - want) <= zero.uncertainty
+
+
+def test_unreachable_tol_is_rejected_before_iterating(monkeypatch):
+    window = WindowPressure(CONST50, (4, 6))
+    with pytest.raises(UnreachableTolerance, match="at the bracket ends"):
+        window.zero("lower", 1e-20)
+    assert window.evaluations == 2  # the bracket ends only
+    # without the up-front check the bracket runs out of floats first, unless
+    # the residual happens to cancel to 0.0 exactly (it does for that zero)
+    monkeypatch.setattr(pressure, "_ROUNDING_ULPS", 0)
+    with pytest.raises(UnreachableTolerance, match="holds no float inside"):
+        WindowPressure(Periodic((50, 60 + 10j)), (8, 12)).zero("upper", 1e-20)
+
+
+@pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+def test_reachable_tols_are_accepted(seq, metric, anchor):
+    # the goldens' default 1e-4, the CI smoke runs' 1e-8, the benchmark's 1e-10,
+    # and tighter ones down to a few ulps of the terms a_n is computed from
+    for window in ((4, 8), (8, 12)):
+        for tol in (1e-4, 1e-8, 1e-10, 1e-13, 1e-15):
+            for zero in dimension_pair(seq, window, tol, anchor=anchor, metric=metric):
+                assert abs(zero.residual) <= tol
 
 
 def test_newton_evaluation_count():
