@@ -268,7 +268,10 @@ class _TreeHalves:
 
 
 class WindowPressure:
-    """One window of depths swept from its fiber point table; evaluates and roots a_n(t) on it."""
+    """One window of depths from its fiber point table, or tree halves past its size cap.
+
+    Evaluates a_n(t) and a_n'(t) there, and roots the windowed estimate.
+    """
 
     def __init__(self, seq, window, j=0, anchor=1.0 + 0.0j, metric=PLANAR):
         if isinstance(window, int):

@@ -15,6 +15,7 @@ from fiberdim import (
     iter_leaf_blocks,
     operator_power,
 )
+from fiberdim.pressure import WindowPressure
 
 mp.mp.dps = 50
 
@@ -96,6 +97,22 @@ def test_bowen_zeros_against_50_digits(seq, metric):
     lower, upper = dimension_pair(seq, window, tol, metric=metric)
     assert abs(lower.t_star - float(min(zeros))) <= lower.uncertainty
     assert abs(upper.t_star - float(max(zeros))) <= upper.uncertainty
+
+
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_window_rows_and_slopes_against_50_digits(metric):
+    # a_n = log(sum w)/n and a_n' = -(sum w ld / sum w)/n with w = exp(-t ld)
+    seq, window = Periodic((50, 60 + 10j, -45)), (4, 8)
+    params = [at(seq, k) for k in range(1, window[1] + 1)]
+    cache = WindowPressure(seq, window, metric=metric)
+    for t in (0.18, 0.4):
+        rows, slopes = cache.rows_and_slopes(t)
+        for row, slope, n in zip(rows, slopes, range(window[0], window[1] + 1)):
+            lds = _hp_leaf_log_derivs(params[:n], metric == "spherical")
+            w = [mp.exp(-t * ld) for ld in lds]
+            assert abs(row - float(mp.log(mp.fsum(w)) / n)) <= 1e-13
+            want = -mp.fsum(wi * ld for wi, ld in zip(w, lds)) / mp.fsum(w) / n
+            assert slope == pytest.approx(float(want), rel=1e-12, abs=0)
 
 
 def test_leaf_positions_against_50_digits():
