@@ -75,21 +75,22 @@ so the depth-n sum is -t L_n(a) + log S_n(a) at the anchor's index a in
 P_n, every depth from one sweep.  L and H do not depend on t: they are swept
 once, keeping each level's shifts, and S once per t over the kept shifts, so
 no array holds one row per t.  At t = 0, S_n(a) = 2^n exactly.  The mean
-log-derivative M_k(p) of the leaves under the weights exp(-t ld), whose
-negative is the t-derivative of the log sum, sweeps beside S on request:
-M_1 = s_1 and, with e = exp(-t gap) for the children c_min, c_max of least
-and largest L and their gap |L(c0) - L(c1)|,
+log-derivative of the leaves under the weights exp(-t ld), whose negative
+is the t-derivative of the log sum, is L_k(p) + D_k(p), and D sweeps beside
+S on request: D_1 = 0 and, with e = exp(-t gap) for the children c_min,
+c_max of least and largest L and their gap |L(c0) - L(c1)|,
 
-    M_k = s_k + (S(c_min) M(c_min) + e S(c_max) M(c_max)) / (S(c_min) + e S(c_max)).
+    D_k = (S(c_min) D(c_min) + e S(c_max) (D(c_max) + gap)) / (S(c_min) + e S(c_max)),
 
-The sweep
-adds a leaf's step logs from the leaf end and the traversal from the root,
-so the leaf extremes can differ from the traversal's in the last bits (a few
-ulps), and the sums from a direct sum over the leaves likewise.  Size rule:
-a level whose 2|P_k| + 1 points would pass 2**(_BLOCK_LOG2 - 2) is not built
-(checked before its roots are taken) and fiber_table returns None; only
-points that never merge get there, such as those of real parameters seen
-from an off-axis anchor.
+the weighted mean of the children's means less L_k, with no step log.  The
+sweep adds a leaf's step logs from the leaf end and the traversal from the
+root, so the leaf extremes can differ from the traversal's in the last bits
+(a few ulps), and the sums from a direct sum over the leaves likewise.
+
+Size rule: a level whose 2|P_k| + 1 points would pass 2**(_BLOCK_LOG2 - 2)
+is not built (checked before its roots are taken) and fiber_table returns
+None; only points that never merge get there, such as those of real
+parameters seen from an off-axis anchor.
 
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
@@ -493,16 +494,13 @@ def _distinct_roots(l, pts):
 
 
 class FiberTable:
-    """A fiber point table swept once for its leaf extremes and shift plan (module docstring).
+    """A fiber point table swept once for L and H (module docstring), then per t for S (and D).
 
-    leaf_log_min and leaf_log_max are L_n and H_n at the anchor for
-    n_lo <= n <= n_hi.  The plan keeps, per level, the step logs, the child
-    of least and of largest L, and their gap, so that each evaluation sweeps
-    only the weights S (log_sums) or S and the slope mean M (log_sums_slopes).
+    leaf_log_min and leaf_log_max are L_n and H_n at the anchor for n_lo <= n <= n_hi.
     """
 
     def __init__(self, levels, steps_1, where, n_lo):
-        self._steps, self._where, self._n_lo = steps_1, where, n_lo
+        self._size, self._n_lo = steps_1.size, n_lo
         lo = hi = steps_1
         self._plan, ends = [], [(lo[where], lo[where])]
         while levels:
@@ -513,62 +511,51 @@ class FiberTable:
             hi += steps
             swap = lo1 < lo0
             c_min, c_max = np.where(swap, c1, c0), np.where(swap, c0, c1)
-            self._plan.append((steps, c_min, c_max, np.abs(lo0 - lo1), where))
+            self._plan.append((c_min, c_max, np.abs(lo0 - lo1), where))
             lo = np.minimum(lo0, lo1)
             lo += steps
             ends.append((lo[where], hi[where]))
         self.leaf_log_min, self.leaf_log_max = (np.array(v[n_lo - 1 :]) for v in zip(*ends))
 
-    def _sweep(self, neg_t, slope):
-        """S_k and, with slope, M_k at the anchor for k = 1..n_hi, at the exponent -neg_t."""
-        weights, means = np.full(self._steps.size, 2.0), self._steps
-        at_weights, at_means = [2.0], [means[self._where]]
-        for steps, c_min, c_max, gap, where in self._plan:
-            upper = np.multiply(gap, neg_t)
-            np.exp(upper, out=upper)
-            upper *= weights[c_max]
-            lower = weights[c_min]
-            if slope:
-                means = (lower * means[c_min] + upper * means[c_max]) / (lower + upper) + steps
-                at_means.append(means[where])
-            upper += lower
-            weights = upper
-            at_weights.append(weights[where])
-        return at_weights, at_means
-
     def log_sums(self, t_grid) -> np.ndarray:
         """log L^n 1(anchor) with one row per depth n_lo..n_hi and one column per t."""
         neg_t = -np.asarray(t_grid, dtype=np.float64)
-        weights = np.empty((len(self._plan) + 1, neg_t.size))
-        for i, t in enumerate(neg_t):  # one t at a time: no array holds a row per t
-            weights[:, i] = self._sweep(t, False)[0]
-        return np.multiply.outer(self.leaf_log_min, neg_t) + np.log(weights[self._n_lo - 1 :])
+        weights_at = np.empty((len(self._plan) + 1, neg_t.size))
+        weights_at[0] = 2.0
+        for i, t in enumerate(neg_t):  # S, one t at a time: no array holds a row per t
+            weights = np.full(self._size, 2.0)
+            for k, (c_min, c_max, gap, where) in enumerate(self._plan, start=1):
+                shifted = np.multiply(gap, t)
+                np.exp(shifted, out=shifted)
+                shifted *= weights[c_max]
+                shifted += weights[c_min]
+                weights = shifted
+                weights_at[k, i] = weights[where]
+        return np.multiply.outer(self.leaf_log_min, neg_t) + np.log(weights_at[self._n_lo - 1 :])
 
     def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The column of log_sums([t]), bit for bit, and its t-derivative -M_n, for n_lo..n_hi."""
-        weights, means = (np.array(v[self._n_lo - 1 :]) for v in self._sweep(-t, True))
-        return self.leaf_log_min * -t + np.log(weights), -means
+        """The column of log_sums([t]), bit for bit, and its t-derivative -(L_n + D_n)."""
+        weights, excess, at_anchor = np.full(self._size, 2.0), np.zeros(self._size), [(2.0, 0.0)]
+        for c_min, c_max, gap, where in self._plan:
+            upper = np.multiply(gap, -t)
+            np.exp(upper, out=upper)
+            upper *= weights[c_max]
+            lower = weights[c_min]
+            excess = (lower * excess[c_min] + upper * (excess[c_max] + gap)) / (lower + upper)
+            upper += lower
+            weights = upper
+            at_anchor.append((weights[where], excess[where]))
+        weights, excess = (np.array(v[self._n_lo - 1 :]) for v in zip(*at_anchor))
+        return self.leaf_log_min * -t + np.log(weights), -(self.leaf_log_min + excess)
 
 
-def fiber_table(
-    seq: SequenceSpec,
-    j: int,
-    n_range: tuple[int, int],
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> FiberTable | None:
-    """The swept fiber point table of the depths in n_range, or None past the size cap.
+def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
+    """The build of the fiber point table (module docstring), or None past the size cap.
 
-    None when a level would pass 2**(_BLOCK_LOG2 - 2) points.  The build
-    keeps the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor in
-    P_k), the step logs of level 1 and the anchor's index in P_1; below level
-    n_lo the anchor is not kept, and the index is that of another point.
+    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor
+    in P_k), the step logs of level 1 and the anchor's index in P_1.  Below
+    level n_lo the anchor is not kept, and the index is that of another point.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError("need 1 <= n_min <= n_max")
-    _validate(n_hi, anchor)
-    anchor = complex(anchor)
     cap = 1 << (_BLOCK_LOG2 - 2)
     key = np.array([anchor]).tobytes()
     pts, where, levels = np.array([anchor]), 0, []
@@ -584,7 +571,23 @@ def fiber_table(
         if k > n_lo and pts[where : where + 1].tobytes() != key:
             where = pts.size
             pts = np.append(pts, anchor)
-    return FiberTable(levels, _step_logs(at(seq, j + 1), pts, metric), where, n_lo)
+    return levels, _step_logs(at(seq, j + 1), pts, metric), where
+
+
+def fiber_table(
+    seq: SequenceSpec,
+    j: int,
+    n_range: tuple[int, int],
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+) -> FiberTable | None:
+    """The swept fiber point table of the depths in n_range, or None past its size cap."""
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError("need 1 <= n_min <= n_max")
+    _validate(n_hi, anchor)
+    table = _fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric)
+    return None if table is None else FiberTable(*table, n_lo)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:

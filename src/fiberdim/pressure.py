@@ -19,13 +19,14 @@ bit-distinct points of each level of the depth-n_max tree from the anchor,
 built once top-down, and upward sweeps that carry, for each point p of
 level k, the least and largest log-derivative L_k(p), H_k(p) of the leaves
 below it (once per table), their weight S_k(p) = sum exp(-t (ld - L_k(p)))
-(once per t) and, for WindowPressure only, their S-weighted mean M_k(p), so
-that log L^n 1(anchor) = -t L_n(a) + log S_n(a) and a_n' = -M_n(a)/n at the
-anchor's index a for every n at once, in this process.  From anchor 1 the
-shallower trees are subtrees of the deepest one (1 is exactly its own
-branch-0 preimage in float64), so the levels share their points.  The sweep
-adds a leaf's step logs in another order than the traversal, so the sums and
-leaf extremes can differ from a direct traversal's in the last bits.
+(once per t) and, for WindowPressure only, the excess D_k(p) of their
+weighted mean over L_k(p), so that log L^n 1(anchor) = -t L_n(a) +
+log S_n(a) and a_n' = -(L_n(a) + D_n(a))/n at the anchor's index a for every
+n at once, in this process.  From anchor 1 the shallower trees are subtrees
+of the deepest one (1 is exactly its own branch-0 preimage in float64), so
+the levels share their points.  The sweep adds a leaf's step logs in another
+order than the traversal, so the sums and leaf extremes can differ from a
+direct traversal's in the last bits.
 
 Size rule: a table level that would pass 2**(_BLOCK_LOG2 - 2) points sends
 the whole call to the tree plan below.  Only points that never merge get
@@ -251,27 +252,21 @@ class _TreeHalves:
     """The window's sums past the table's size cap: one leaf_log_derivs half per tree of _Trees."""
 
     def __init__(self, seq, window, j, anchor, metric):
-        self._trees = _Trees(seq, j, window, anchor)
-        roots = self._trees.roots
-        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in roots))
+        self._trees = trees = _Trees(seq, j, window, anchor)
+        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in trees.roots))
         # each value of a depth-d half stands for 2 leaves, the depth-0 anchor for 1
-        self._lds = [(half, 2 if d else 1) for half, (d, _) in zip(halves, roots)]
+        self._lds = [(half, 2 if d else 1) for half, (d, _) in zip(halves, trees.roots)]
         self._w = np.empty(max(half.size for half in halves))  # the exponentials of every t
-        self.leaf_log_min = self._trees.per_depth([s.leaf_log_min for s in stats], min)
-        self.leaf_log_max = self._trees.per_depth([s.leaf_log_max for s in stats], max)
+        self.leaf_log_min = trees.per_depth([s.leaf_log_min for s in stats], min)
+        self.leaf_log_max = trees.per_depth([s.leaf_log_max for s in stats], max)
 
     def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        sums, slopes = zip(
-            *(logsumexp_slope(lds, t, mult, self._w[: lds.size]) for lds, mult in self._lds)
-        )
+        sums, slopes = zip(*(logsumexp_slope(h, t, m, self._w[: h.size]) for h, m in self._lds))
         return self._trees.per_depth_slopes(sums, slopes, t)
 
 
 class WindowPressure:
-    """One window of depths from its fiber point table, or tree halves past its size cap.
-
-    Evaluates a_n(t) and a_n'(t) there, and roots the windowed estimate.
-    """
+    """One window of depths, from its fiber point table or past its size cap from tree halves."""
 
     def __init__(self, seq, window, j=0, anchor=1.0 + 0.0j, metric=PLANAR):
         if isinstance(window, int):
