@@ -503,7 +503,7 @@ class FiberTable:
         self._size, self._n_lo = steps_1.size, n_lo
         lo = hi = steps_1
         self._plan, ends = [], [(lo[where], lo[where])]
-        while levels:
+        while levels:  # L and H, keeping each level's shifts of the weights
             steps, c0, half, where = levels.pop()
             c1 = c0 + half
             lo0, lo1 = lo[c0], lo[c1]
