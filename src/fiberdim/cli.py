@@ -121,9 +121,10 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seq_flag="--seq", workers_help=None):
+    def common(p, seq_flag="--seq", workers_help=None, anchor=True):
         p.add_argument(seq_flag, required=True, help="sequence spec string")
-        p.add_argument("--anchor", type=parse_complex, default=1 + 0j)
+        if anchor:
+            p.add_argument("--anchor", type=parse_complex, default=1 + 0j)
         if workers_help:
             p.add_argument("--workers", type=int, default=available_workers(), help=workers_help)
         p.add_argument("--out", "-o", default=None, help="output CSV path (default stdout)")
@@ -169,7 +170,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=18)
 
     p = sub.add_parser("verify", help="run the bundled invariant suite")
-    common(p)
+    common(p, anchor=False)  # every check runs from the anchor 1
     p.add_argument("--depth", type=int, default=14)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)

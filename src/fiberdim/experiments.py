@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SandwichViolation
 from .orbits import PLANAR, iter_leaf_blocks, leaf_log_derivs, tree_log_sums, word_of
 from .parallel import run_jobs
-from .pressure import _Trees, dimension_pair, log_operator_sums
+from .pressure import dimension_pair, log_operator_sums
 from .sequences import (
     PerturbedSequence,
     SequenceSpec,
@@ -79,13 +79,11 @@ def sandwich_check(
 
     Verifies, for every n <= n_max, the operator-level inequality above and
     the leaf-level form |log_deriv_pert - log_deriv_base - x S_n| <= n|x|/2
-    over all leaves: a_n from log_operator_sums, the leaves one
-    leaf_log_derivs half per tree of pressure._Trees.  From anchor 1 the
-    depth-n leaves are the depth-(n-1) ones and W_n's, one step on, and x
-    shifts that step by exactly x s_{j+n}: so slack(n) = max(slack(n-1) -
-    |x|/2, slack over W_n), and W_n's leaf w is the depth-n leaf w1; other
-    anchors use their own depth-n trees.  A violation beyond float slack is a
-    bug: SandwichViolation names the worst leaf of the first failing depth.
+    over all leaves: a_n from log_operator_sums, the leaves from the
+    leaf_log_derivs halves of both depth-n trees at every n (by the
+    first-bit identity a half holds every leaf log-derivative).  A violation
+    beyond float slack is a bug: SandwichViolation names the worst leaf of
+    the first failing depth.
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("sandwich_check requires a finite t > 0")
@@ -96,30 +94,21 @@ def sandwich_check(
     )
     # signs entering fiber j are s_{j+1}, ..., s_{j+n}
     offset = cesaro_sum(schedule, j)[0] if j else 0
-    sign_sums = [0] + [cesaro_sum(schedule, j + n)[0] - offset for n in range(1, n_max + 1)]
-    recurrence = complex(anchor) == 1
     rows = []
-    slack, word = 0.0, ""  # the depth-0 tree from 1: one leaf, both log-derivatives 0
     leaf_slack_max = -math.inf
-    for n, (depth, root) in enumerate(_Trees(base, j, (1, n_max), anchor).roots, start=1):
-        lds_base, lds_pert = (leaf_log_derivs(seq, j, depth, root)[0] for seq in (base, pert))
-        s_n = sign_sums[n]
+    for n in range(1, n_max + 1):
+        lds_base, lds_pert = (leaf_log_derivs(seq, j, n, anchor)[0] for seq in (base, pert))
+        s_n = cesaro_sum(schedule, j + n)[0] - offset
         residual = abs(a_pert[n - 1] - (a_base[n - 1] - t * x * s_n / n)) - t * abs(x) / 2.0
         rows.append(SandwichRow(n, s_n, a_base[n - 1], a_pert[n - 1], residual))
 
-        s_tree = sign_sums[n - 1] if recurrence else s_n  # the signs of the tree's own steps
-        leaf_gap = np.abs(lds_pert - lds_base - x * s_tree) - n * abs(x) / 2.0
+        leaf_gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2.0
         k = int(np.argmax(leaf_gap))
-        if not recurrence:
-            slack, word = float(leaf_gap[k]), word_of(k, n)
-        elif leaf_gap[k] > slack - abs(x) / 2.0:
-            slack, word = float(leaf_gap[k]), word_of(k, n - 1) + "1"
-        else:
-            slack, word = slack - abs(x) / 2.0, word + "0"
+        slack = float(leaf_gap[k])
         leaf_slack_max = max(leaf_slack_max, slack)
         if residual > _FLOAT_SLACK or slack > _FLOAT_SLACK:
             raise SandwichViolation(
-                n, word, f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
+                n, word_of(k, n), f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
             )
     return PerturbationReport(
         base_id=format_sequence(base),

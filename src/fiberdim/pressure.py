@@ -29,25 +29,15 @@ order than the traversal, so the sums and leaf extremes can differ from a
 direct traversal's in the last bits.
 
 Size rule: a table level that would pass 2**(_BLOCK_LOG2 - 2) points sends
-the whole call to the tree plan below.  Only points that never merge get
-there, such as those of real parameters seen from an off-axis anchor; there
-the workers argument fans the trees out.
-
-Tree plans: _Trees lists the trees (depth, root) whose sums give every
-depth.  From anchor 1, |f_l'(+-1)| = |l| in both metrics (the spherical factor
-is 2/2 at +-1), so the first inverse step lands exactly on +-1 and at fiber j
-
-    L^n 1(1) = |l_{j+n}|^{-t} * (L^{n-1} 1(1) + L^{n-1} 1(-1)),   L^0 1 = 1.
-
-With W_n the pullback of -1 to depth n - 1, every depth n <= n_max costs one
-tree W_n, and the leaf extremes follow min_n = log|l_{j+n}| + min(min_{n-1},
-min W_n) from min_0 = 0.  Any other anchor is reduced over its own depth-n
-trees.  The recurrence adds the same terms in another order than a direct
-depth-n sum, so a_n can differ from it in the last ulp.  Here
-log_operator_sums runs one orbits.tree_log_sums job per tree, which reduces
-the whole t grid over the tree's runs and splits levels past the cap into
-chunks; results come back in tree order, so they do not depend on the worker
-count.  WindowPressure keeps one orbits.leaf_log_derivs half per tree, which
+the whole call to the per-depth plan: each depth n of the range is reduced
+over the anchor's own depth-n tree.  Only points that never merge get there,
+such as those of real parameters seen from an off-axis anchor; from the
+anchors 1 and -1 every measured table stayed under the cap to the depth cap.
+There log_operator_sums runs one orbits.tree_log_sums job per depth, which
+reduces the whole t grid over the tree's runs and splits levels past the cap
+into chunks; the workers argument fans the jobs out, and results come back
+in depth order, so they do not depend on the worker count.  WindowPressure
+keeps one orbits.leaf_log_derivs half per depth, which
 transfer.logsumexp_slope counts twice at every t.
 """
 
@@ -60,67 +50,14 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, check_depth, fiber_table, leaf_log_derivs, tree_log_sums
+from .orbits import PLANAR, fiber_table, leaf_log_derivs, tree_log_sums
 from .parallel import run_jobs
-from .sequences import SequenceSpec, at, format_sequence
+from .sequences import SequenceSpec, format_sequence
 from .transfer import logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 _ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero() accepts
-
-
-class _Trees:
-    """The trees whose leaf sums give log L^n 1(anchor) at fiber j for n_lo <= n <= n_hi."""
-
-    def __init__(self, seq: SequenceSpec, j: int, n_range: tuple[int, int], anchor: complex):
-        n_lo, n_hi = int(n_range[0]), int(n_range[1])
-        if not 1 <= n_lo <= n_hi:
-            raise ValueError("need 1 <= n_min <= n_max")
-        check_depth(n_hi)
-        self.n_lo = n_lo
-        if complex(anchor) == 1:
-            self.roots = [(n - 1, -1.0 + 0.0j) for n in range(1, n_hi + 1)]
-            self.log_l = [math.log(abs(at(seq, j + n))) for n in range(1, n_hi + 1)]
-        else:
-            self.roots = [(n, complex(anchor)) for n in range(n_lo, n_hi + 1)]
-            self.log_l = None
-
-    def per_depth(self, values, combine, scale=1.0) -> np.ndarray:
-        """Per-depth values for n_lo..n_hi from per-tree ones.
-
-        From anchor 1 this is the recurrence v_n = combine(v_{n-1}, v(W_n))
-        + scale * log|l_{j+n}| from v_0 = 0, which is both log L^0 1 and the
-        depth-0 log-derivative.
-        """
-        if self.log_l is None:
-            return np.asarray(values)
-        acc, out = 0.0, []
-        for n, (value, step) in enumerate(zip(values, self.log_l), start=1):
-            acc = combine(acc, value) + scale * step
-            if n >= self.n_lo:
-                out.append(acc)
-        return np.array(out)
-
-    def per_depth_slopes(self, sums, slopes, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Per-depth log L^n 1 and its t-derivative from per-tree log sums and slopes at t.
-
-        The values are per_depth(sums, np.logaddexp, -t), bit for bit.  From
-        anchor 1 the derivative of acc_n = logaddexp(acc_{n-1}, S_n) - t log|l_{j+n}|
-        is the mix d_n = s d_{n-1} + (1 - s) S'_n - log|l_{j+n}| with
-        s = exp(acc_{n-1} - logaddexp(acc_{n-1}, S_n)), the old sum's share.
-        """
-        if self.log_l is None:
-            return np.asarray(sums), np.asarray(slopes)
-        acc, slope, out = 0.0, 0.0, []
-        for n, (value, d_value, step) in enumerate(zip(sums, slopes, self.log_l), start=1):
-            total = np.logaddexp(acc, value)
-            share = math.exp(acc - total)
-            acc = total + -t * step
-            slope = share * slope + (1.0 - share) * d_value - step
-            if n >= self.n_lo:
-                out.append((acc, slope))
-        return tuple(np.array(out).T)
 
 
 def _tree_sums(args):
@@ -145,22 +82,18 @@ def log_operator_sums(
     log-derivatives.  Every depth comes from one fiber point table
     (orbits.fiber_table), in this process.  When a level of the table
     would pass 2**(_BLOCK_LOG2 - 2) points, the sums come instead from one
-    orbits.tree_log_sums job per tree of _Trees, fanned out over `workers`
-    processes.  The table's leaf extremes add the same step logs as the
-    traversal in another order, so they can differ from its in the last bits.
+    orbits.tree_log_sums job per depth, over the anchor's own depth-n tree,
+    fanned out over `workers` processes.  The table's leaf extremes add the
+    same step logs as the traversal in another order, so they can differ
+    from its in the last bits.
     """
     t_grid = tuple(float(t) for t in t_grid)
     table = fiber_table(seq, j, n_range, anchor, metric)
     if table is not None:
         return table.log_sums(t_grid), table.leaf_log_min, table.leaf_log_max
-    trees = _Trees(seq, j, n_range, anchor)
-    jobs = [(seq, j, depth, root, metric, t_grid) for depth, root in trees.roots]
-    sums, lo, hi = zip(*run_jobs(_tree_sums, jobs, workers))
-    return (
-        trees.per_depth(np.array(sums), np.logaddexp, -np.asarray(t_grid)),
-        trees.per_depth(lo, min),
-        trees.per_depth(hi, max),
-    )
+    depths = range(int(n_range[0]), int(n_range[1]) + 1)
+    jobs = [(seq, j, n, anchor, metric, t_grid) for n in depths]
+    return tuple(np.array(v) for v in zip(*run_jobs(_tree_sums, jobs, workers)))
 
 
 @dataclass(frozen=True)
@@ -249,20 +182,19 @@ class BowenZero:
 
 
 class _TreeHalves:
-    """The window's sums past the table's size cap: one leaf_log_derivs half per tree of _Trees."""
+    """The window's sums past the table's size cap: one leaf_log_derivs half per depth."""
 
     def __init__(self, seq, window, j, anchor, metric):
-        self._trees = trees = _Trees(seq, j, window, anchor)
-        halves, stats = zip(*(leaf_log_derivs(seq, j, d, root, metric) for d, root in trees.roots))
-        # each value of a depth-d half stands for 2 leaves, the depth-0 anchor for 1
-        self._lds = [(half, 2 if d else 1) for half, (d, _) in zip(halves, trees.roots)]
-        self._w = np.empty(max(half.size for half in halves))  # the exponentials of every t
-        self.leaf_log_min = trees.per_depth([s.leaf_log_min for s in stats], min)
-        self.leaf_log_max = trees.per_depth([s.leaf_log_max for s in stats], max)
+        depths = range(window[0], window[1] + 1)
+        self._halves, stats = zip(*(leaf_log_derivs(seq, j, n, anchor, metric) for n in depths))
+        self._w = np.empty(self._halves[-1].size)  # the exponentials of every t
+        self.leaf_log_min = np.array([s.leaf_log_min for s in stats])
+        self.leaf_log_max = np.array([s.leaf_log_max for s in stats])
 
     def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        sums, slopes = zip(*(logsumexp_slope(h, t, m, self._w[: h.size]) for h, m in self._lds))
-        return self._trees.per_depth_slopes(sums, slopes, t)
+        # each value of a half stands for 2 leaves (window depths are >= 1)
+        sums, slopes = zip(*(logsumexp_slope(h, t, 2, self._w[: h.size]) for h in self._halves))
+        return np.array(sums), np.array(slopes)
 
 
 class WindowPressure:
@@ -303,17 +235,20 @@ class WindowPressure:
         max_n a_n (packing side); bowen_zero and dimension_pair check which
         and tol before any tree is built.  The starting bracket
         [n log2/maxL, n log2/minL] straddles zero by the operator-value
-        bracket.  Each step is taken from the bracket's left end, where the
-        estimate is positive, so by convexity (module docstring) the Newton
-        point of the least row (lower) or of the argmax row (upper) never
-        passes the zero; one not strictly inside the bracket, or one that did
-        not halve the residual it stepped from, is replaced by a bisection
-        step.  The t-uncertainty is tol over the slope floor.  A tol below
-        _ROUNDING_ULPS ulps of max |a_n| at the bracket ends lies below the
-        rounding of a_n, whose terms -t L_n/n and log S_n/n are about log 2
-        each, and raises UnreachableTolerance (a ValueError) before the first
-        step; a larger one the float resolution of a_n still cannot reach
-        raises it once no float lies strictly inside the bracket.
+        bracket; an end value within _ROUNDING_ULPS ulps of log 2, the
+        rounding of the terms -t L_n/n and log S_n/n, counts as 0 (a_1 can
+        round to +1.1e-16 at its analytic right end).  Each step is taken
+        from the bracket's left end, where the estimate is positive, so by
+        convexity (module docstring) the Newton point of the least row
+        (lower) or of the argmax row (upper) never passes the zero; one not
+        strictly inside the bracket, or one that did not halve the residual
+        it stepped from, is replaced by a bisection step.  The t-uncertainty
+        is tol over the slope floor.  A tol below _ROUNDING_ULPS ulps of
+        max |a_n| at the bracket ends lies below the rounding of a_n, whose
+        terms are about log 2 each, and raises UnreachableTolerance (a
+        ValueError) before the first step; a larger one the float resolution
+        of a_n still cannot reach raises it once no float lies strictly
+        inside the bracket.
         """
 
         def envelope(t: float) -> tuple[float, float]:
@@ -327,7 +262,8 @@ class WindowPressure:
         lo, hi = self.bracket()
         f_lo, newton = envelope(lo)
         f_hi, _ = envelope(hi)
-        if not (f_lo >= 0.0 >= f_hi):
+        end_rounding = _ROUNDING_ULPS * np.spacing(LOG2)  # an end within it counts as 0
+        if not (f_lo >= -end_rounding and end_rounding >= f_hi):
             raise BracketFailure(
                 f"bracket [{lo:.6g}, {hi:.6g}] values ({f_lo:.3g}, {f_hi:.3g}) do not straddle 0"
             )

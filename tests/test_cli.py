@@ -158,6 +158,8 @@ def test_usage_errors(tmp_path, capsys):
         ["dimension", "--seq", "const:50", "--window", "4:6", "--workers", "2"],
         ["motion", "--base", "const:50", "--depth", "4", "--workers", "2"],
         ["verify", "--seq", "const:50", "--depth", "8", "--workers", "2"],
+        # --anchor exists only where it is read (every subcommand but verify)
+        ["verify", "--seq", "const:50", "--depth", "8", "--anchor=-1.05+0.1i"],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err

@@ -180,16 +180,31 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        # largest levels of 28,404 (from 1) and 29,941 (from -1) points, the most
+        # measured; a level of more than 32,767 points would pass the cap
+        "const:39.99847792252877+0.34906142866149287i",
+        "const:39.847789+3.486230i",
+    ],
+)
+@pytest.mark.parametrize("anchor", [1.0, -1.0])
+def test_tables_from_the_real_axis_anchors_stay_under_the_size_cap(spec, anchor):
+    # the per-depth plan past the cap is reached only from off-axis anchors
+    assert orbits.fiber_table(parse_sequence(spec), 0, (1, 26), anchor) is not None
+
+
 @pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
     # 2^3-leaf blocks: the fiber point table is capped at 2 points, so the
-    # pressure sums fall back to per-tree jobs that split a level that would
-    # double past 2 runs into chunks, and the window to leaf_log_derivs halves
-    # whose trees deeper than 4 stream prefix blocks.  From anchor 1 the
-    # depths also come from the top-step recurrence over W_n.
+    # pressure sums fall back to one job per depth over the anchor's own tree,
+    # which splits a level that would double past 2 runs into chunks, and the
+    # window to leaf_log_derivs halves whose trees deeper than 4 stream prefix
+    # blocks.
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
@@ -247,8 +262,8 @@ def _leaf_slope(seq, j, n, anchor, metric, t):
 def test_window_rows_and_slopes_match_direct_trees(monkeypatch, metric, anchor, block_log2):
     # at the default _BLOCK_LOG2 the window sweeps its fiber point table; with
     # 2^3-leaf blocks the table is capped at 2 points and the window falls back
-    # to leaf_log_derivs halves (anchor 1 through the sigma-mixed top-step
-    # recurrence), whose trees deeper than 4 stream prefix blocks
+    # to one leaf_log_derivs half per depth, whose trees deeper than 4 stream
+    # prefix blocks
     if block_log2 is not None:
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
     depths = range(4, 11)
@@ -395,6 +410,18 @@ def test_single_n_window_form():
     # at depth 1 every leaf has log-derivative log 50: the bracket is one point, the root
     one = bowen_zero(CONST50, "lower", 1, tol=1e-4)
     assert one.bracket[0] == one.bracket[1] == one.t_star
+
+
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("window", [(1, 1), (1, 2), (1, 3)])
+def test_bracket_end_within_rounding_of_zero(window, metric):
+    # a_1 rounds to +1.1e-16 at its analytic right end, which counts as 0
+    seq = parse_sequence("periodic:55.1+20i,-60+30.5i")
+    lower, upper = dimension_pair(seq, window, tol=1e-4, metric=metric)
+    for root in (lower, upper):
+        assert root.bracket[0] <= root.t_star <= root.bracket[1]
+        assert abs(root.residual) <= 1e-4
+    assert lower.t_star <= upper.t_star
 
 
 def test_metric_option_shifts_root_slightly():
