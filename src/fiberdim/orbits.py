@@ -28,7 +28,13 @@ uint64 views of both parts: -0.0 and +0.0 print differently and stay apart.
 Step logs and roots are taken once per run and np.repeat(steps, counts) adds
 each run's step log to its leaves, so every leaf gets the same arithmetic on
 the same inputs in the same order as a level over all leaves, and no bit
-moves; step-log extremes and edge residuals range over the same values.
+moves; step-log extremes range over the same values.
+
+Distinct levels (distinct_points, roundtrip_check): what depends only on the
+point set of each level walks the levels from the anchor and holds one at a
+time: level k - 1 is [U, -U] for U the bit-distinct branch-0 roots of level
+k (_level_below, the step of the fiber point tables below), so each bit
+pattern of the traversal's level comes once, and no size cap is needed.
 
 Run weights (tree_log_sums, the per-tree fallback of
 pressure.log_operator_sums when a fiber point table would pass its size cap,
@@ -151,16 +157,13 @@ class TreeStats:
     """Extremes gathered during a traversal.
 
     step_log_min/max bound the one-step log-derivative over every tree edge;
-    leaf_log_min/max bound the accumulated leaf values.  edge_residual_max is
-    only filled when the traversal re-applies the forward map to each child
-    (verify_edges=True) and records max |f_l(child) - parent|.
+    leaf_log_min/max bound the accumulated leaf values.
     """
 
     step_log_min: float = math.inf
     step_log_max: float = -math.inf
     leaf_log_min: float = math.inf
     leaf_log_max: float = -math.inf
-    edge_residual_max: float = 0.0
 
     def _update_steps(self, steps: np.ndarray) -> None:
         self.step_log_min = min(self.step_log_min, float(steps.min()))
@@ -231,7 +234,7 @@ def _branch0_root(l: complex, pts: np.ndarray) -> None:
     pts.real = r
 
 
-def _inverse_step(l, pts, counts, lds, metric, stats, verify):
+def _inverse_step(l, pts, counts, lds, metric, stats):
     """Replace the runs pts by their branch-0 preimages under f_l and add the one-step log-derivatives to lds.
 
     Run i stands for counts[i] consecutive leaves of lds (one each when counts
@@ -239,11 +242,7 @@ def _inverse_step(l, pts, counts, lds, metric, stats, verify):
     log-derivatives since |-r| = |r|.
     """
     steps = _step_logs(l, pts, metric, stats)
-    parents = pts.copy() if verify else pts
     _branch0_root(l, pts)
-    if verify:
-        resid = np.abs(apply(l, pts) - parents)
-        stats.edge_residual_max = max(stats.edge_residual_max, float(resid.max()))
     lds += steps if counts is None else np.repeat(steps, counts)
 
 
@@ -285,7 +284,7 @@ def _merge_runs(pts, r, counts):
     return starts.size, counts
 
 
-def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
+def _iter_runs(seq, j, n, anchor, metric, stats):
     """Yield (start_index, points, counts, log_derivs) blocks of the depth-n tree in run-length form.
 
     Block leaf i lies at np.repeat(points, counts)[i] (points itself when
@@ -306,7 +305,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
     r = s = 1  # runs, leaves
     for m in range(n - 1, prefix_bits - 1, -1):
         run_counts = None if counts is None else counts[:r]
-        _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats, verify_edges)
+        _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats)
         # a merge pays off only on the levels still to come
         if m:
             r, counts = _merge_runs(pts, r, counts)
@@ -325,7 +324,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
     for prefix in range(1 << prefix_bits):
         block_pts, block_lds = pts.copy(), lds.copy()
         for m in range(prefix_bits - 1, -1, -1):
-            _inverse_step(params[m], block_pts, counts, block_lds, metric, stats, verify_edges)
+            _inverse_step(params[m], block_pts, counts, block_lds, metric, stats)
             if (prefix >> (prefix_bits - 1 - m)) & 1:
                 np.negative(block_pts, out=block_pts)
         yield prefix * size, block_pts, counts, block_lds
@@ -338,7 +337,6 @@ def iter_leaf_blocks(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
     stats: TreeStats | None = None,
-    verify_edges: bool = False,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start_index, points, log_derivs) blocks covering all 2**n leaves.
 
@@ -347,7 +345,7 @@ def iter_leaf_blocks(
     (suffix arrays bottom-up, then one pass per word prefix), so results are
     bit-identical however the blocks are consumed.
     """
-    for start, pts, counts, lds in _iter_runs(seq, j, n, anchor, metric, stats, verify_edges):
+    for start, pts, counts, lds in _iter_runs(seq, j, n, anchor, metric, stats):
         if stats is not None:
             stats._update_leaves(lds)
         yield start, pts if counts is None else np.repeat(pts, counts), lds
@@ -377,7 +375,7 @@ def leaf_log_derivs(
     else:
         l = at(seq, j + 1)
         out = np.empty(1 << (n - 1))
-        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats, False)
+        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats)
         for start, pts, counts, lds in runs:
             steps = _step_logs(l, pts, metric, stats)
             if counts is not None:
@@ -477,8 +475,11 @@ def _run_weighted_sums(seq, j, n, anchor, metric, neg_t, stats):
     return np.logaddexp.reduce(sums)
 
 
-def _distinct_roots(l, pts):
-    """Take the branch-0 roots of pts in place; return the bit-distinct ones and each root's index among them."""
+def _level_below(l, pts):
+    """The level below pts under f_l, [U, -U], and each root's index in U.
+
+    U holds the bit-distinct branch-0 roots of pts, which are taken in place.
+    """
     _branch0_root(l, pts)
     order = np.argsort(pts, kind="stable")
     roots = pts[order]
@@ -490,7 +491,12 @@ def _distinct_roots(l, pts):
     rank -= 1
     index = np.empty_like(rank)
     index[order] = rank
-    return roots[first], index
+    half = int(rank[-1]) + 1
+    del order, rank  # freed before the level, the walk's memory peak, is built
+    level = np.empty(2 * half, np.complex128)  # branch-0 roots have Re > 0.88: no overlap
+    np.take(roots, np.flatnonzero(first), out=level[:half], mode="clip")  # unbuffered
+    np.negative(level[:half], out=level[half:])
+    return level, index
 
 
 class FiberTable:
@@ -564,9 +570,8 @@ def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
             return None
         l = at(seq, j + k)
         steps = _step_logs(l, pts, metric)
-        half, c0 = _distinct_roots(l, pts)
-        levels.append((steps, c0, half.size, where))
-        pts = np.concatenate((half, -half))  # branch-0 roots have Re > 0.88: no overlap
+        pts, c0 = _level_below(l, pts)
+        levels.append((steps, c0, pts.size // 2, where))
         where = int(c0[where])  # the anchor's branch-0 root: anchor 1 is its own
         if k > n_lo and pts[where : where + 1].tobytes() != key:
             where = pts.size
@@ -590,31 +595,17 @@ def fiber_table(
     return None if table is None else FiberTable(*table, n_lo)
 
 
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted.
-
-    One stable sort (timsort for complex values, fast on input that is
-    already nearly in order) and a neighbour comparison: np.unique in numpy
-    2.4 hashes complex values before sorting, about five times slower on a
-    million.
-    """
-    values = np.sort(values, kind="stable")
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
 def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j) -> np.ndarray:
-    """The leaf points of the depth-n tree at fiber 0, each at most once per block.
+    """The leaf points of the depth-n tree at fiber 0, each bit pattern once.
 
-    Read off the run-length blocks of the traversal (the last level is never
-    merged, so its runs still repeat points) and deduplicated block by block,
-    so memory stays O(distinct points) at any depth.  Each block's part is
-    sorted and the parts follow in word order; with one block (depth <=
-    _BLOCK_LOG2) these are the tree's distinct points.  A point shared by two
-    blocks appears once per block, which a set consumer such as box_dimension
-    drops itself.
+    Level 0 of the distinct-level walk (module docstring): [U, -U] with U
+    sorted, no log-derivatives and no blocks.
     """
-    blocks = _iter_runs(seq, 0, depth, anchor, PLANAR, None, False)
-    return np.concatenate([_distinct(pts) for _, pts, _, _ in blocks])
+    _validate(depth, anchor)
+    pts = np.array([anchor], dtype=np.complex128)
+    for k in range(depth, 0, -1):  # l_depth first
+        pts, _ = _level_below(at(seq, k), pts)
+    return pts
 
 
 def word_of(index: int, depth: int) -> str:
@@ -693,20 +684,25 @@ class RoundTripReport:
     certified_leaf_error: float
 
 
-def roundtrip_check(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-) -> RoundTripReport:
-    """Verify every tree edge forward (f_l(child) = parent) and certify leaves."""
-    stats = TreeStats()
-    for _ in iter_leaf_blocks(seq, j, n, anchor, stats=stats, verify_edges=True):
-        pass
+def roundtrip_check(seq: SequenceSpec, j: int = 0, n: int = 1) -> RoundTripReport:
+    """Verify every edge of the depth-n tree from anchor 1 forward (f_l(child) = parent) and certify leaves.
+
+    Walks the distinct levels (module docstring): the children r and -r of a
+    parent have f_l(-r) = f_l(r) bit for bit, and equal parents equal roots,
+    so the max over each level's distinct parents is the max over every edge.
+    """
+    check_depth(n)
+    pts, worst = np.ones(1, np.complex128), 0.0
+    for k in range(n, 0, -1):  # l_{j+n} first
+        l = at(seq, j + k)
+        roots = pts.copy()
+        below, _ = _level_below(l, roots)
+        worst = max(worst, float(np.abs(apply(l, roots) - pts).max()))
+        pts = below
     return RoundTripReport(
         depth=n,
-        edge_residual_max=stats.edge_residual_max,
-        certified_leaf_error=stats.edge_residual_max / (EXPANSION_FLOOR - 1.0),
+        edge_residual_max=worst,
+        certified_leaf_error=worst / (EXPANSION_FLOOR - 1.0),
     )
 
 

@@ -13,7 +13,7 @@ from fiberdim import (
     parse_sequence,
     resolution_bound,
 )
-from fiberdim import orbits
+from fiberdim import boxcount, orbits
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure
 from oracles import bisection_zero
@@ -148,6 +148,19 @@ def test_dimension_golden_roots_match_the_bisection_oracle():
         assert abs(float(t_star) - want) <= float(uncertainty)
 
 
+def _bit_patterns(points):
+    """The distinct (re, im) uint64 bit pairs of points, sorted."""
+    return np.unique(np.ascontiguousarray(points).view(np.uint64).reshape(-1, 2), axis=0)
+
+
+def test_distinct_points_once_per_bit_pattern(monkeypatch):
+    # const:1000 at depth 16 has 64 distinct points; with blocks of 2**8 leaves
+    # a point shared by several blocks must still come once
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 8)
+    points = orbits.distinct_points(Constant(1000), 16)
+    assert points.size == _bit_patterns(points).shape[0] == 64
+
+
 @pytest.mark.parametrize("anchor", [1 + 0j, -1.05 + 0.1j])
 @pytest.mark.parametrize(
     "spec", ["const:50", "random:seed=7,min=45,max=80", "periodic:55.1+20i,-60+30.5i"]
@@ -158,9 +171,12 @@ def test_run_length_box_count_matches_materialized(monkeypatch, spec, anchor, de
     seq = parse_sequence(spec)
     cloud = julia_cloud(seq, depth, anchor)
     points = orbits.distinct_points(seq, depth, anchor)
-    # the same set, and the same representative of +-0 parts: the first in word order
-    want_points = orbits._distinct(cloud.points).view(np.uint64)
-    assert np.array_equal(orbits._distinct(points).view(np.uint64), want_points)
+    # the same bit patterns, each once
+    assert _bit_patterns(points).shape[0] == points.size
+    assert np.array_equal(_bit_patterns(points), _bit_patterns(cloud.points))
+    # the same representative of +-0 parts: the first in word order
+    want_points = boxcount._distinct(cloud.points).view(np.uint64)
+    assert np.array_equal(boxcount._distinct(points).view(np.uint64), want_points)
     resolution = resolution_bound(seq, depth)
     assert resolution == cloud.resolution
     ladder = cloud_ladder(resolution)

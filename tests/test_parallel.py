@@ -1,7 +1,10 @@
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from fiberdim import Constant, verification
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -38,3 +41,17 @@ def test_spawn_start_method_matches_serial():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_verify_determinism_check_starts_a_pool(monkeypatch):
+    # the check compares a pooled run with a serial one, not two serial runs
+    pools = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs["processes"])
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    result = verification.check_transfer_parallel(Constant(50), 8)
+    assert result.passed and pools == [2]
