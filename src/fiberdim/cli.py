@@ -136,8 +136,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
 
     p = sub.add_parser("pressure", help="finite-depth pressure matrix a_n(t) as CSV")
-    common(p, workers_help="processes for the per-tree sums, used only when a level of the "
-           "fiber point table would pass its size cap")
+    common(p, workers_help="accepted and ignored: pressure runs in one process")
     p.add_argument("--t", type=_grid, default="0:0.4:21")
     p.add_argument("--n", type=_int_pair, default="4:20")
     p.add_argument("--window", type=_int_pair, default=None)
@@ -198,7 +197,6 @@ def _cmd_pressure(args) -> int:
         anchor=args.anchor,
         metric=args.metric,
         window=args.window,
-        workers=args.workers,
     )
     with _open_out(args.out) as (csv_out, info):
         write_pressure_csv(curve, csv_out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SandwichViolation
-from .orbits import PLANAR, iter_leaf_blocks, leaf_log_derivs, tree_log_sums, word_of
+from .orbits import PLANAR, fiber_table, iter_leaf_blocks, leaf_log_derivs, word_of
 from .parallel import run_jobs
 from .pressure import dimension_pair, log_operator_sums
 from .sequences import (
@@ -360,7 +360,7 @@ def gap_scan(
     grid = _check_symmetric(x_grid)
     w = (int(window[0]), int(window[1]))
     base_lower, base_upper = dimension_pair(base, w, tol, j, anchor)
-    _, stats = tree_log_sums(base, j, w[1], anchor, PLANAR, ())
+    table = fiber_table(base, j, (w[1], w[1]), anchor, PLANAR)  # no anchor copies
 
     jobs = [(base, schedule, float(x), w, float(tol), anchor, j) for x in grid]
     results = run_jobs(_gap_cell, jobs, workers)
@@ -372,8 +372,8 @@ def gap_scan(
                 x=float(x),
                 h_lower=h_lo,
                 h_upper=h_up,
-                env_lower=base_lower.t_star * (1.0 - abs(x) / (2.0 * stats.step_log_max)),
-                env_upper=base_upper.t_star * (1.0 + abs(x) / (2.0 * stats.step_log_min)),
+                env_lower=base_lower.t_star * (1.0 - abs(x) / (2.0 * table.step_log_max)),
+                env_upper=base_upper.t_star * (1.0 + abs(x) / (2.0 * table.step_log_min)),
             )
         )
     return GapScan(
@@ -381,8 +381,8 @@ def gap_scan(
         schedule=schedule,
         window=w,
         tol=float(tol),
-        step_log_min=stats.step_log_min,
-        step_log_max=stats.step_log_max,
+        step_log_min=table.step_log_min,
+        step_log_max=table.step_log_max,
         rows=tuple(rows),
     )
 

@@ -33,24 +33,7 @@ moves; step-log extremes range over the same values.
 Distinct levels (distinct_points, roundtrip_check): what depends only on the
 point set of each level walks the levels from the anchor and holds one at a
 time: level k - 1 is [U, -U] for U the bit-distinct branch-0 roots of level
-k (_level_below, the step of the fiber point tables below), so each bit
-pattern of the traversal's level comes once, and no size cap is needed.
-
-Run weights (tree_log_sums, the per-tree fallback of
-pressure.log_operator_sums when a fiber point table would pass its size cap,
-and the step extremes of experiments.gap_scan): a sum of
-exp(-t * log_deriv) over the leaves needs no value per leaf.  Run r carries
-lo_r and hi_r, the least and largest log-derivative of its leaves, and
-S_r(t), the sum over them of exp(-t (ld_i - lo_r)), which lies in
-[1, count_r]; until the first merge every run is one leaf and S is 1.  A
-level adds the run's step log to lo_r and hi_r, a merge takes each group's
-min and max and adds up S_r exp(-t (lo_r - lo_group)), and the tree's sum is
--t min lo + log sum_r S_r exp(-t (lo_r - min lo)).  Rounding x + c is
-monotone in x, so lo_r and hi_r are the extremes of the values a
-leaf-by-leaf traversal computes for the run's leaves, bit for bit, and so
-are the leaf and step extremes of the tree; S is not, as its shifts are fixed
-at the merge while later levels round lo_r alone (a few ulps against a
-direct sum).  At t = 0, S holds the exact leaf counts.
+k (_level_below), so each bit pattern of the traversal's level comes once.
 
 Fiber point tables (fiber_table): the depth-n trees at fiber j for every
 n of a range are reduced over one deduplicated point set per level.  Every
@@ -59,14 +42,16 @@ preimage and -1 its branch-1 preimage, so from anchor 1 every depth-n tree
 is a subtree of the one depth-n_max tree and the trees of a range share
 nearly all their bit-distinct points.  The build runs top-down: P_{n_max} is
 {anchor}; for k = n_max..2 it takes the step logs s_k of P_k (the step-log
-identity below) and their branch-0 roots, and P_{k-1} is [U, -U] with U the
-bit-distinct roots, found by one stable argsort and a uint64 neighbour
-compare (the idiom of _merge_starts).  Branch-0 roots have Re > 0.88, so U
-and -U share no point.  Each point of P_k keeps the index c0 of its root in
-U, and c1 = c0 + |U| is that of its negative.  For n_min <= k - 1 the anchor
-is appended to P_{k-1} unless it is its own branch-0 root (anchor 1 is);
-should it equal another point of P_{k-1}, that point is only repeated, which
-moves no sum.  Level 1 keeps only its step logs.
+identity below) and their branch-0 roots, and P_{k-1} is [U, -U] with U one
+root per cell of the grid key (below), found by one stable argsort and a
+uint64 neighbour compare of the keys (the idiom of _merge_runs).
+Branch-0 roots have Re > 0.88, so U and -U share no point.  Each point of
+P_k keeps the index c0 of its root in U, and c1 = c0 + |U| is that of its
+negative.  For n_min <= k - 1 the anchor is appended to P_{k-1} unless the
+point of its branch-0 root is the anchor, bit for bit (anchor 1 is its own
+root, but another root of its cell, with a tiny Im, can stand for it); a
+point that is only repeated moves no sum.  Level 1 keeps only its step
+logs.
 
 The sweep runs upward.  For p in P_k let L_k(p) and H_k(p) be the least and
 largest log-derivative of the leaves of the depth-k tree from p at fiber j,
@@ -93,10 +78,33 @@ sweep adds a leaf's step logs from the leaf end and the traversal from the
 root, so the leaf extremes can differ from the traversal's in the last bits
 (a few ulps), and the sums from a direct sum over the leaves likewise.
 
-Size rule: a level whose 2|P_k| + 1 points would pass 2**(_BLOCK_LOG2 - 2)
-is not built (checked before its roots are taken) and fiber_table returns
-None; only points that never merge get there, such as those of real
-parameters seen from an off-axis anchor.
+Grid key: two roots share a table point when their real parts are
+bit-equal and their imaginary parts round to one multiple of q = 2^-56, the
+key Re + i (round(Im / q) q + 0.0); the + 0.0 turns -0.0 into +0.0, so tiny
+imaginary parts of both signs meet.  A group keeps its first root in stable
+key order, unrounded, so a point that merges nothing keeps its bits.  Only
+the tables use this key; distinct_points and roundtrip_check keep bit
+equality.  Without it, real parameters seen from an off-axis anchor keep
+imaginary parts of about 1e-22 of both signs, and no two points ever merge.
+
+Certificate: points of one cell share their Re bits and differ by at most
+q in Im.  The planar step log (log|l| + log|l + 2p - 2|)/2 is Lipschitz in
+the parent p with constant 1/(|l| - 14/3) < 0.0284 on the trapping disks
+(|p - 1| <= 7/3 there), and every branch contracts by a factor of at most
+3/80, so replacing a point by another of its cell moves the step logs along
+any path below it by less than 0.0284 q (1 + 3/80 + ...) < 0.03 q in all.
+A depth-n leaf passes n merges, so its log-derivative moves by less than
+0.03 n q, about 1e-17 at n = 26.  The spherical step adds
+log1p(|l + 2p - 2| / |l|), Lipschitz with constant 2/|l| <= 0.05, and
+-log1p(|p|^2), whose gradient 2|p| / (1 + |p|^2) is at most 1, so there a
+leaf moves by less than 1.13 n q, about 4e-16 at n = 26.  Every step log
+exceeds 2.8 in either metric, so a depth-n leaf value exceeds 2.8 n and its
+ulp 3e-16 n: either bound is far below one ulp of a leaf value.  Levels
+stay small: after 12 branches, (2/3)(3/80)^12 < q, so the images of the
+trapping disks under one word of 12 branches lie within q of each other,
+and a level holds about one point per such word, 2^12, plus the shallow
+subtrees of the anchor copies (at most 4,905 points measured; the tests
+hold every level under 2^13).
 
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
@@ -141,7 +149,7 @@ _BLOCK_LOG2 = 18  # leaves per streamed block cap (4 MiB of complex128)
 # 1.125 per level of pair (0, 1) (the spread of |branch'| on the trapping
 # disks), under 2**5 at any allowed depth; so the span holds back no merge.
 _MERGE_SPAN = 2.0**-44
-_T_PASS = 32  # exponents per pass of tree_log_sums
+_GRID = 2.0**-56  # q, the cell side of the fiber point tables' grid key
 
 PLANAR = "planar"
 SPHERICAL = "spherical"
@@ -246,36 +254,27 @@ def _inverse_step(l, pts, counts, lds, metric, stats):
     lds += steps if counts is None else np.repeat(steps, counts)
 
 
-def _merge_starts(pts, merged):
-    """Start indices of the groups of bit-identical neighbouring points in pts, or None if no merge is due.
+def _merge_runs(pts, r, counts):
+    """Merge the neighbouring runs of pts[:r] whose points are bit-identical, when a merge is due.
 
     The one merge rule of the run-length levels.  Merging starts once the
     first two points (leaves 0 and 1) come within _MERGE_SPAN, and goes on
-    at every later level once an earlier one merged (`merged`).  It compares
-    the uint64 views of both parts, so -0.0 and +0.0 stay apart, and waits
-    until it removes a quarter of the runs: below that its bookkeeping costs
-    more than it saves, and equal neighbours stay equal and adjacent at the
-    next level.
+    at every later level once an earlier one merged (counts is not None).
+    It compares the uint64 views of both parts, so -0.0 and +0.0 stay apart,
+    and waits until it removes a quarter of the runs: below that its
+    bookkeeping costs more than it saves, and equal neighbours stay equal and
+    adjacent at the next level.  Returns the new run count and the counts
+    buffer (allocated at the first merge; before it every run is one leaf).
     """
-    if pts.size < 2 or not (merged or abs(pts[1] - pts[0]) < _MERGE_SPAN):
-        return None
-    bits = pts.view(np.uint64)  # re, im, re, im, ...
+    runs = pts[:r]
+    if r < 2 or not (counts is not None or abs(runs[1] - runs[0]) < _MERGE_SPAN):
+        return r, counts
+    bits = runs.view(np.uint64)  # re, im, re, im, ...
     # one uint16 per neighbour pair: its two bytes say whether re and im differ
     differs = (bits[2:] != bits[:-2]).view(np.uint16)
-    if 4 * (1 + np.count_nonzero(differs)) > 3 * pts.size:
-        return None
-    return np.concatenate(([0], np.flatnonzero(differs) + 1))
-
-
-def _merge_runs(pts, r, counts):
-    """Merge the runs pts[:r] by _merge_starts.
-
-    Returns the new run count and the counts buffer (allocated at the first
-    merge; before it every run is one leaf).
-    """
-    starts = _merge_starts(pts[:r], counts is not None)
-    if starts is None:
+    if 4 * (1 + np.count_nonzero(differs)) > 3 * r:
         return r, counts
+    starts = np.concatenate(([0], np.flatnonzero(differs) + 1))
     if counts is None:
         counts = np.empty(pts.size, np.intp)
         counts[:r] = 1
@@ -385,116 +384,42 @@ def leaf_log_derivs(
     return out, stats
 
 
-def tree_log_sums(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-    t_grid=(0.0,),
-) -> tuple[np.ndarray, TreeStats]:
-    """log of the sum of exp(-t * log_deriv) over the 2**n leaves, for every t in t_grid, and the tree's stats.
-
-    The run-weighted traversal of the module docstring: no array has one
-    entry per leaf.  The last level takes the step logs of the
-    leaf_log_derivs half only, each run counted twice (the first-bit
-    identity).  A level that would double past 2**(_BLOCK_LOG2 - 2) runs (a
-    tree whose points stay distinct, such as one from an off-axis anchor over
-    real parameters) is split into chunks of neighbouring runs that stay
-    within that count down to the last level, so memory stays about that of
-    one streamed block; the chunks are reduced one after the other and folded
-    with logaddexp.  The weights take 8 bytes per run and t, so a grid of
-    more than _T_PASS values is reduced in several passes, which change no
-    bit: each t has its own row.  The stats are those of the full traversal,
-    bit for bit.
-    """
-    _validate(n, anchor)
-    stats = TreeStats()
-    neg_t = -np.asarray(t_grid, dtype=np.float64)
-    sums = [
-        _run_weighted_sums(seq, j, n, anchor, metric, neg_t[i : i + _T_PASS], stats)
-        for i in range(0, max(neg_t.size, 1), _T_PASS)
-    ]
-    return np.concatenate(sums), stats
+def _grid_key(pts):
+    """Re + i (round(Im / q) q + 0.0), the grid key of the fiber point tables (module docstring)."""
+    key = pts.copy()
+    im = key.imag  # a view: the rounding is written into key
+    im *= 1.0 / _GRID  # exact, as is the scaling back: q is a power of two
+    np.rint(im, out=im)
+    im *= _GRID
+    im += 0.0  # -0.0 -> +0.0
+    return key
 
 
-def _run_weighted_sums(seq, j, n, anchor, metric, neg_t, stats):
-    """The tree_log_sums of one pass, at the exponents -neg_t."""
-    cap = 1 << (_BLOCK_LOG2 - 2)
-    # (level, runs, the least and largest leaf log-derivative of each run,
-    # weights S with one row per t, None while every run is one leaf)
-    todo = [(n, np.array([anchor], dtype=np.complex128), np.zeros(1), np.zeros(1), None)]
-    sums = []
-    while todo:
-        top, pts, lo, hi, weights = todo.pop()
-        for k in range(top, 0, -1):  # l_{j+n} first
-            if k < n:  # the runs of level k + 1 and their negatives
-                pts = np.concatenate((pts, -pts))
-                lo, hi = np.concatenate((lo, lo)), np.concatenate((hi, hi))
-                if weights is not None:
-                    weights = np.concatenate((weights, weights), axis=1)
-            l = at(seq, j + k)
-            steps = _step_logs(l, pts, metric, stats)
-            lo += steps
-            hi += steps
-            if k == 1:
-                break
-            _branch0_root(l, pts)
-            starts = _merge_starts(pts, weights is not None)
-            if starts is not None:
-                pts = pts[starts]
-                group_lo = np.minimum.reduceat(lo, starts)
-                shift = lo - np.repeat(group_lo, np.diff(starts, append=lo.size))
-                terms = np.multiply.outer(neg_t, shift)
-                np.exp(terms, out=terms)
-                if weights is not None:
-                    terms *= weights
-                weights = np.add.reduceat(terms, starts, axis=1)
-                lo, hi = group_lo, np.maximum.reduceat(hi, starts)
-            if 2 * pts.size > cap:  # a chunk of size runs doubles to size * 2**(k - 1)
-                size = max(1, cap >> (k - 1))
-                todo += [
-                    (k - 1, pts[i : i + size], lo[i : i + size], hi[i : i + size],
-                     None if weights is None else weights[:, i : i + size])
-                    for i in reversed(range(0, pts.size, size))
-                ]
-                pts = None
-                break
-        if pts is None:
-            continue
-        low = lo.min()
-        stats.leaf_log_min = min(stats.leaf_log_min, float(low))
-        stats.leaf_log_max = max(stats.leaf_log_max, float(hi.max()))
-        shift, terms, totals = lo - low, np.empty_like(lo), []
-        for i, t in enumerate(neg_t):  # one buffer for every t
-            np.exp(np.multiply(shift, t, out=terms), out=terms)
-            if weights is not None:
-                terms *= weights[i]
-            totals.append(terms.sum())
-        sums.append(low * neg_t + np.log((2 if n else 1) * np.array(totals)))
-    return np.logaddexp.reduce(sums)
-
-
-def _level_below(l, pts):
+def _level_below(l, pts, grid=False):
     """The level below pts under f_l, [U, -U], and each root's index in U.
 
-    U holds the bit-distinct branch-0 roots of pts, which are taken in place.
+    U holds one branch-0 root of pts per group of bit-identical roots, or
+    with grid per cell of the grid key, which are taken in place.  Each group
+    keeps its first root in stable key order, unrounded.
     """
     _branch0_root(l, pts)
-    order = np.argsort(pts, kind="stable")
-    roots = pts[order]
-    bits = roots.view(np.uint64)
-    first = np.empty(roots.size, bool)  # of a group of bit-identical roots
+    key = _grid_key(pts) if grid else pts
+    order = np.argsort(key, kind="stable")
+    bits = key[order].view(np.uint64)
+    del key
+    first = np.empty(pts.size, bool)  # of a group of equal keys
     first[0] = True
     first[1:] = (bits[2:] != bits[:-2]).view(np.uint16)
+    del bits
     rank = np.cumsum(first, dtype=np.int32)
     rank -= 1
     index = np.empty_like(rank)
     index[order] = rank
     half = int(rank[-1]) + 1
-    del order, rank  # freed before the level, the walk's memory peak, is built
+    order = order[first]
+    del first, rank  # freed before the level, the walk's memory peak, is built
     level = np.empty(2 * half, np.complex128)  # branch-0 roots have Re > 0.88: no overlap
-    np.take(roots, np.flatnonzero(first), out=level[:half], mode="clip")  # unbuffered
+    np.take(pts, order, out=level[:half], mode="clip")  # unbuffered
     np.negative(level[:half], out=level[half:])
     return level, index
 
@@ -502,11 +427,16 @@ def _level_below(l, pts):
 class FiberTable:
     """A fiber point table swept once for L and H (module docstring), then per t for S (and D).
 
-    leaf_log_min and leaf_log_max are L_n and H_n at the anchor for n_lo <= n <= n_hi.
+    leaf_log_min and leaf_log_max are L_n and H_n at the anchor for n_lo <= n <= n_hi;
+    step_log_min and step_log_max are the extremes of the step logs of every
+    level, those of the traversal's edges but for the merged-away points.
     """
 
     def __init__(self, levels, steps_1, where, n_lo):
         self._size, self._n_lo = steps_1.size, n_lo
+        steps = [steps_1] + [level[0] for level in levels]
+        self.step_log_min = min(float(s.min()) for s in steps)
+        self.step_log_max = max(float(s.max()) for s in steps)
         lo = hi = steps_1
         self._plan, ends = [], [(lo[where], lo[where])]
         while levels:  # L and H, keeping each level's shifts of the weights
@@ -556,23 +486,20 @@ class FiberTable:
 
 
 def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
-    """The build of the fiber point table (module docstring), or None past the size cap.
+    """The build of the fiber point table (module docstring).
 
     Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor
     in P_k), the step logs of level 1 and the anchor's index in P_1.  Below
     level n_lo the anchor is not kept, and the index is that of another point.
     """
-    cap = 1 << (_BLOCK_LOG2 - 2)
     key = np.array([anchor]).tobytes()
     pts, where, levels = np.array([anchor]), 0, []
     for k in range(n_hi, 1, -1):  # l_{j+n_hi} first
-        if 2 * pts.size + 1 > cap:
-            return None
         l = at(seq, j + k)
         steps = _step_logs(l, pts, metric)
-        pts, c0 = _level_below(l, pts)
+        pts, c0 = _level_below(l, pts, grid=True)
         levels.append((steps, c0, pts.size // 2, where))
-        where = int(c0[where])  # the anchor's branch-0 root: anchor 1 is its own
+        where = int(c0[where])  # the point of the anchor's branch-0 root
         if k > n_lo and pts[where : where + 1].tobytes() != key:
             where = pts.size
             pts = np.append(pts, anchor)
@@ -585,14 +512,13 @@ def fiber_table(
     n_range: tuple[int, int],
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-) -> FiberTable | None:
-    """The swept fiber point table of the depths in n_range, or None past its size cap."""
+) -> FiberTable:
+    """The swept fiber point table of the depths in n_range."""
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_min <= n_max")
     _validate(n_hi, anchor)
-    table = _fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric)
-    return None if table is None else FiberTable(*table, n_lo)
+    return FiberTable(*_fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric), n_lo)
 
 
 def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j) -> np.ndarray:

@@ -25,20 +25,10 @@ log S_n(a) and a_n' = -(L_n(a) + D_n(a))/n at the anchor's index a for every
 n at once, in this process.  From anchor 1 the shallower trees are subtrees
 of the deepest one (1 is exactly its own branch-0 preimage in float64), so
 the levels share their points.  The sweep adds a leaf's step logs in another
-order than the traversal, so the sums and leaf extremes can differ from a
-direct traversal's in the last bits.
-
-Size rule: a table level that would pass 2**(_BLOCK_LOG2 - 2) points sends
-the whole call to the per-depth plan: each depth n of the range is reduced
-over the anchor's own depth-n tree.  Only points that never merge get there,
-such as those of real parameters seen from an off-axis anchor; from the
-anchors 1 and -1 every measured table stayed under the cap to the depth cap.
-There log_operator_sums runs one orbits.tree_log_sums job per depth, which
-reduces the whole t grid over the tree's runs and splits levels past the cap
-into chunks; the workers argument fans the jobs out, and results come back
-in depth order, so they do not depend on the worker count.  WindowPressure
-keeps one orbits.leaf_log_derivs half per depth, which
-transfer.logsumexp_slope counts twice at every t.
+order than the traversal, and the table merges points that share a cell of
+its grid key (a move far below one ulp of a leaf value, by the certificate
+of orbits), so the sums and leaf extremes can differ from a direct
+traversal's in the last bits.
 """
 
 from __future__ import annotations
@@ -50,20 +40,12 @@ import numpy as np
 
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
-from .orbits import PLANAR, fiber_table, leaf_log_derivs, tree_log_sums
-from .parallel import run_jobs
+from .orbits import PLANAR, fiber_table
 from .sequences import SequenceSpec, format_sequence
-from .transfer import logsumexp_slope
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 _ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero() accepts
-
-
-def _tree_sums(args):
-    """Log sums at every t, and leaf extremes, of one tree."""
-    sums, stats = tree_log_sums(*args)
-    return sums, stats.leaf_log_min, stats.leaf_log_max
 
 
 def log_operator_sums(
@@ -73,27 +55,18 @@ def log_operator_sums(
     j: int = 0,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-    workers: int = 1,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log L^n 1(anchor) at fiber j for every n in n_range (inclusive) and t in t_grid.
 
     Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
     one column per t; the extremes are those of the depth-n leaf
     log-derivatives.  Every depth comes from one fiber point table
-    (orbits.fiber_table), in this process.  When a level of the table
-    would pass 2**(_BLOCK_LOG2 - 2) points, the sums come instead from one
-    orbits.tree_log_sums job per depth, over the anchor's own depth-n tree,
-    fanned out over `workers` processes.  The table's leaf extremes add the
+    (orbits.fiber_table), in this process.  The table's leaf extremes add the
     same step logs as the traversal in another order, so they can differ
     from its in the last bits.
     """
-    t_grid = tuple(float(t) for t in t_grid)
     table = fiber_table(seq, j, n_range, anchor, metric)
-    if table is not None:
-        return table.log_sums(t_grid), table.leaf_log_min, table.leaf_log_max
-    depths = range(int(n_range[0]), int(n_range[1]) + 1)
-    jobs = [(seq, j, n, anchor, metric, t_grid) for n in depths]
-    return tuple(np.array(v) for v in zip(*run_jobs(_tree_sums, jobs, workers)))
+    return table.log_sums(t_grid), table.leaf_log_min, table.leaf_log_max
 
 
 @dataclass(frozen=True)
@@ -128,7 +101,6 @@ def pressure_curve(
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
     window: tuple[int, int] | None = None,
-    workers: int = 1,
 ) -> PressureCurve:
     """a_n(t) for every n in n_range (inclusive) and t in the sorted grid."""
     t_values = [float(t) for t in t_grid]
@@ -148,9 +120,7 @@ def pressure_curve(
     if not (n_min <= w_lo <= w_hi <= n_max):
         raise ValueError(f"window {window} not contained in n range [{n_min}, {n_max}]")
     n_values = np.arange(n_min, n_max + 1)
-    sums, leaf_min, leaf_max = log_operator_sums(
-        seq, t_grid, (n_min, n_max), j, anchor, metric, workers
-    )
+    sums, leaf_min, leaf_max = log_operator_sums(seq, t_grid, (n_min, n_max), j, anchor, metric)
     values = sums / n_values[:, None]
     mask = (n_values >= w_lo) & (n_values <= w_hi)
     return PressureCurve(
@@ -181,35 +151,17 @@ class BowenZero:
     evaluations: int
 
 
-class _TreeHalves:
-    """The window's sums past the table's size cap: one leaf_log_derivs half per depth."""
-
-    def __init__(self, seq, window, j, anchor, metric):
-        depths = range(window[0], window[1] + 1)
-        self._halves, stats = zip(*(leaf_log_derivs(seq, j, n, anchor, metric) for n in depths))
-        self._w = np.empty(self._halves[-1].size)  # the exponentials of every t
-        self.leaf_log_min = np.array([s.leaf_log_min for s in stats])
-        self.leaf_log_max = np.array([s.leaf_log_max for s in stats])
-
-    def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        # each value of a half stands for 2 leaves (window depths are >= 1)
-        sums, slopes = zip(*(logsumexp_slope(h, t, 2, self._w[: h.size]) for h in self._halves))
-        return np.array(sums), np.array(slopes)
-
-
 class WindowPressure:
-    """One window of depths, from its fiber point table or past its size cap from tree halves."""
+    """One window of depths, evaluated from its fiber point table."""
 
     def __init__(self, seq, window, j=0, anchor=1.0 + 0.0j, metric=PLANAR):
         if isinstance(window, int):
             window = (window, window)
         window = int(window[0]), int(window[1])
         self.n_values = np.arange(window[0], window[1] + 1)
-        self._sums = fiber_table(seq, j, window, anchor, metric) or _TreeHalves(
-            seq, window, j, anchor, metric
-        )
-        self.leaf_log_min = self._sums.leaf_log_min
-        self.leaf_log_max = self._sums.leaf_log_max
+        self._table = fiber_table(seq, j, window, anchor, metric)
+        self.leaf_log_min = self._table.leaf_log_min
+        self.leaf_log_max = self._table.leaf_log_max
         self.evaluations = 0
         self._evaluated = {}
 
@@ -217,7 +169,7 @@ class WindowPressure:
         """a_n(t) and a_n'(t) for every window depth; each t is evaluated once."""
         if t not in self._evaluated:
             self.evaluations += 1
-            sums, slopes = self._sums.log_sums_slopes(t)
+            sums, slopes = self._table.log_sums_slopes(t)
             self._evaluated[t] = (sums / self.n_values, slopes / self.n_values)
         return self._evaluated[t]
 

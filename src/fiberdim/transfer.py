@@ -7,9 +7,7 @@ exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 domain.  operator_power is the independent oracle of the pressure sums: it
 materializes every leaf block, reduces it with one logsumexp per t and folds
 the blocks with logaddexp in word order, where pressure sweeps a
-deduplicated point table per fiber (orbits.fiber_table).  logsumexp_slope
-evaluates the leaf arrays that pressure.WindowPressure keeps for its zero
-finder past the table's size cap.
+deduplicated point table per fiber (orbits.fiber_table).
 """
 
 from __future__ import annotations
@@ -26,17 +24,16 @@ from .sequences import SequenceSpec, at
 
 def _logsumexp(
     values: np.ndarray, multiplicity: int, out: np.ndarray | None = None, top: float | None = None
-):
-    """(log(multiplicity * sum(exp(values))), w, sum(w)) with w = exp(values - max(values)).
+) -> float:
+    """log(multiplicity * sum(exp(values))), max-shifted.
 
-    w is written into `out` when given (which may be `values` itself); `top`,
-    when given, must be max(values).
+    The shifted exponentials are written into `out` when given (which may be
+    `values` itself); `top`, when given, must be max(values).
     """
     m = float(np.max(values)) if top is None else top
     w = np.subtract(values, m, out=out)
     np.exp(w, out=w)
-    total = float(np.sum(w))
-    return m + math.log(multiplicity * total), w, total
+    return m + math.log(multiplicity * float(np.sum(w)))
 
 
 def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
@@ -47,7 +44,7 @@ def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
     at least 128 values: numpy's pairwise sum splits such an array exactly at
     its half, and doubling is exact.  Smaller trees can differ in the last ulp.
     """
-    return _logsumexp(values, multiplicity)[0]
+    return _logsumexp(values, multiplicity)
 
 
 def logsumexp_grid(log_derivs: np.ndarray, t_grid) -> np.ndarray:
@@ -59,23 +56,8 @@ def logsumexp_grid(log_derivs: np.ndarray, t_grid) -> np.ndarray:
     log_min = float(np.min(log_derivs))
     buf = np.empty_like(log_derivs)
     return np.array([
-        _logsumexp(np.multiply(log_derivs, -t, out=buf), 1, buf, log_min * -t)[0] for t in t_grid
+        _logsumexp(np.multiply(log_derivs, -t, out=buf), 1, buf, log_min * -t) for t in t_grid
     ])
-
-
-def logsumexp_slope(
-    log_derivs: np.ndarray, t: float, multiplicity: int, out: np.ndarray
-) -> tuple[float, float]:
-    """logsumexp(log_derivs * -t, multiplicity) and its derivative in t.
-
-    The value is bit-identical to logsumexp's; the derivative is
-    -sum(w * ld) / sum(w) for the same shifted exponentials w, which are
-    formed in place in `out` (log_derivs' size, not overlapping it) as
-    log_derivs * -t, so repeated evaluations reuse one buffer.
-    """
-    values = np.multiply(log_derivs, -t, out=out)
-    value, w, total = _logsumexp(values, multiplicity, out=values)
-    return value, -float(np.dot(w, log_derivs)) / total
 
 
 @dataclass(frozen=True)

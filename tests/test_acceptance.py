@@ -206,11 +206,9 @@ def test_c09_spread_certificate_and_gap_growth():
 
 
 def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
-    # At the default block size the pressure and kink sums come from the fiber
-    # point table in one process.  2^4-leaf blocks cap the table at 4 points, so
-    # the sums fall back to per-tree jobs that split a level that would double
-    # past 4 runs into chunks, and every tree of the gap scan's window caches
-    # deeper than 5 streams prefix blocks.
+    # The pressure and kink sums and the gap scan's Bowen zeros come from fiber
+    # point tables, which do not depend on the block size; the kink and gap
+    # cells fan out over the workers.  2^4-leaf blocks change no table.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         outputs = []
@@ -237,7 +235,7 @@ def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
     _report(
         10,
         "pressure and perturb (kink and gap) CSV bytes identical for workers 1, 2, 8, "
-        "and for workers 1, 2, 3 with 2^4-leaf blocks (window-cache prefix blocks, run chunks)",
+        "and for workers 1, 2, 3 with 2^4-leaf blocks",
     )
 
 

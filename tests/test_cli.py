@@ -33,10 +33,8 @@ def test_pressure_zero_column(tmp_path):
 
 
 def test_pressure_deterministic_across_workers(tmp_path, monkeypatch):
-    # At the default block size the sums come from the fiber point table in
-    # one process.  A block of 2^3 leaves caps the table at 2 points, so the
-    # sums fall back to per-tree jobs whose run-weighted sums split every level
-    # that would double past 2 runs into chunks.
+    # The sums come from the fiber point table in one process at any block
+    # size, so --workers changes nothing; 2^3-leaf blocks change no table.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (3, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         for anchor in ("1", "-1.05+0.1i"):
@@ -153,7 +151,8 @@ def test_usage_errors(tmp_path, capsys):
         ["verify", "--seq", "const:50", "--tol", "nan"],
         # a tol below the float resolution of a_n, found while refining a Bowen zero
         ["verify", "--seq", "const:50", "--depth", "8", "--tol", "1e-20"],
-        # --workers exists only where jobs fan out (pressure and perturb)
+        # --workers exists only on perturb, which fans jobs out, and on pressure,
+        # which ignores it
         ["julia", "--seq", "const:50", "--depth", "2", "--workers", "2"],
         ["dimension", "--seq", "const:50", "--window", "4:6", "--workers", "2"],
         ["motion", "--base", "const:50", "--depth", "4", "--workers", "2"],
@@ -164,7 +163,7 @@ def test_usage_errors(tmp_path, capsys):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err
     # rejected without output: a box depth under 1000 points or above the cap, and a
-    # tol below the float resolution of a_n (found when the root bracket runs out)
+    # tol below the float resolution of a_n (rejected before the first step)
     out = tmp_path / "roots.csv"
     for args in (
         ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "9"],

@@ -12,8 +12,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # disabled first, so a pool that still forked would fail instead of passing.
 SPAWN_SCRIPT = """
 import multiprocessing, os
-import numpy as np
-from fiberdim import pressure_curve
+from fiberdim import SignSchedule, kink_scan
 from fiberdim.sequences import parse_sequence
 
 def no_fork():
@@ -23,10 +22,12 @@ multiprocessing.set_start_method("spawn")
 os.fork = no_fork
 seq = parse_sequence("periodic:50,60+10i")
 for anchor in (1.0, -1.05 + 0.1j):
-    serial = pressure_curve(seq, np.linspace(0.0, 0.4, 5), (2, 9), anchor=anchor, workers=1)
-    pooled = pressure_curve(seq, np.linspace(0.0, 0.4, 5), (2, 9), anchor=anchor, workers=2)
-    for name in ("values", "leaf_log_min", "leaf_log_max"):
-        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), (anchor, name)
+    serial, pooled = (
+        kink_scan(seq, SignSchedule(2, 2), 0.18, (-0.05, 0.0, 0.05), (2, 9), anchor=anchor,
+                  workers=workers)
+        for workers in (1, 2)
+    )
+    assert serial == pooled, anchor
 print("ok")
 """
 

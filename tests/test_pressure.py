@@ -59,76 +59,18 @@ def test_slope_bracket_exact():
         assert bool((diff <= hi + 1e-12).all())
 
 
-RUN_SPECS = [
+TABLE_SPECS = [
     "const:50",
     "const:1000",
     "random:seed=7,min=45,max=80",
     "perturb:base=random:seed=7,min=45,max=80;blocks=2x2;x=0.1",
+    "periodic:55.1+20i,-60+30.5i",
 ]
-RUN_T = (0.0, 0.18, 0.4, 50.0)  # at t = 50 terms inside a run underflow
-
-
-def _check_run_weighted_sums(seq, n, anchor, metric):
-    """tree_log_sums against operator_power and the stats of a leaf-by-leaf traversal."""
-    sums, stats = orbits.tree_log_sums(seq, 0, n, anchor, metric, RUN_T)
-    want = np.array([v.log_value for v in operator_power(seq, 0, n, RUN_T, anchor, metric)])
-    assert np.all(np.abs(sums - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
-    want_stats = orbits.TreeStats()
-    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, want_stats):
-        pass
-    assert stats == want_stats
-    assert abs(sums[0] - n * LOG2) <= 1e-15 * max(1, n)  # a_n(0) = log 2
-
-
-@pytest.mark.parametrize("spec", RUN_SPECS)
-@pytest.mark.parametrize("metric", ["planar", "spherical"])
-@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
-@pytest.mark.parametrize("n", [0, 1, 12, 20])  # runs merge from about level 11
-def test_run_weighted_sums_match_operator_power(spec, metric, anchor, n):
-    # const:50 from the off-axis anchor keeps every point distinct, so its
-    # depth-20 levels also split into chunks of runs
-    _check_run_weighted_sums(parse_sequence(spec), n, anchor, metric)
-
-
-@pytest.mark.parametrize("spec", ["const:50", RUN_SPECS[3]])
-def test_run_weighted_sums_match_streamed_oracle(monkeypatch, spec):
-    # 2^5-leaf blocks: the oracle streams prefix blocks, and a level that
-    # would double past 8 runs splits into chunks
-    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 5)
-    _check_run_weighted_sums(parse_sequence(spec), 12, -1.05 + 0.1j, "spherical")
-
-
-def test_run_weighted_passes_change_no_bit():
-    # 70 exponents take three passes of the traversal; each t has its own row
-    seq, t_grid = parse_sequence(RUN_SPECS[2]), np.linspace(0.0, 2.0, 70)
-    sums, stats = orbits.tree_log_sums(seq, 0, 14, -1.0, "spherical", t_grid)
-    for k in range(0, 70, 9):
-        one, one_stats = orbits.tree_log_sums(seq, 0, 14, -1.0, "spherical", [t_grid[k]])
-        assert one[0] == sums[k] and one_stats == stats
-
-
-@pytest.mark.parametrize(
-    "spec,anchor,n",
-    [("random:seed=7,min=45,max=80", 1.0, 26), ("const:50", -1.05 + 0.1j, 20)],
-)
-def test_run_weighted_sums_hold_no_value_per_leaf(spec, anchor, n):
-    # one float64 per value of the half tree alone would take 256 MiB at depth
-    # 26; from the off-axis anchor the 2^19 distinct points of the last level
-    # would take 16 MiB unless chunked
-    tracemalloc.start()
-    try:
-        orbits.tree_log_sums(parse_sequence(spec), 0, n, anchor, "planar", np.linspace(0, 0.4, 21))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
-
-
+TABLE_T = (0.0, 0.18, 0.4, 50.0)  # at t = 50 most weights of a sweep underflow
 # The fiber point table adds each leaf's step logs from the leaf end, the
 # traversal from the root, so its leaf extremes may differ from the
 # traversal's in the last bits (4 ulps seen at most).
 TABLE_ORDER_ULPS = 8
-TABLE_SPECS = RUN_SPECS + ["periodic:55.1+20i,-60+30.5i"]
 
 
 def _ulps(value, want):
@@ -139,18 +81,18 @@ def _ulps(value, want):
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
 def test_table_sums_match_operator_power(spec, metric, anchor):
-    # at the default _BLOCK_LOG2; const:50 and const:1000 from the off-axis
-    # anchor keep every point distinct, so their depth-20 tables fall back
+    # const:50 and const:1000 from the off-axis anchor keep no two points
+    # bit-equal; their tables merge points on the grid key
     seq = parse_sequence(spec)
     direct = {}
     for n in range(1, 21):
-        want = np.array([v.log_value for v in operator_power(seq, 0, n, RUN_T, anchor, metric)])
+        want = np.array([v.log_value for v in operator_power(seq, 0, n, TABLE_T, anchor, metric)])
         stats = orbits.TreeStats()
         for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
             pass
         direct[n] = want, stats
     for n_lo, n_hi in [(1, 1), (1, 12), (8, 20)]:
-        sums, leaf_min, leaf_max = log_operator_sums(seq, RUN_T, (n_lo, n_hi), 0, anchor, metric)
+        sums, leaf_min, leaf_max = log_operator_sums(seq, TABLE_T, (n_lo, n_hi), 0, anchor, metric)
         for i, n in enumerate(range(n_lo, n_hi + 1)):
             want, stats = direct[n]
             assert np.all(np.abs(sums[i] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
@@ -160,20 +102,15 @@ def test_table_sums_match_operator_power(spec, metric, anchor):
 
 
 @pytest.mark.parametrize(
-    "spec,anchor,n_range,table",
-    [
-        ("random:seed=7,min=45,max=80", 1.0, (4, 26), True),
-        ("const:50", -1.05 + 0.1j, (18, 20), False),
-    ],
+    "spec,anchor,n_range",
+    [("random:seed=7,min=45,max=80", 1.0, (4, 26)), ("const:50", -1.05 + 0.1j, (4, 26))],
 )
-def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
-    # the first case is reduced over the fiber point table, the second passes
-    # the size cap (its points never merge) and falls back to tree_log_sums
-    seq = parse_sequence(spec)
-    assert (orbits.fiber_table(seq, 0, n_range, anchor, "planar") is not None) == table
+def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range):
+    # const:50 from the off-axis anchor keeps no two points bit-equal: its
+    # table stays small only by merging points on the grid key
     tracemalloc.start()
     try:
-        log_operator_sums(seq, np.linspace(0, 0.4, 21), n_range, 0, anchor, "planar")
+        log_operator_sums(parse_sequence(spec), np.linspace(0, 0.4, 21), n_range, 0, anchor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -183,16 +120,34 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range, table):
 @pytest.mark.parametrize(
     "spec",
     [
-        # largest levels of 28,404 (from 1) and 29,941 (from -1) points, the most
-        # measured; a level of more than 32,767 points would pass the cap
+        # near |l| = 40, where the branches contract least
         "const:39.99847792252877+0.34906142866149287i",
         "const:39.847789+3.486230i",
     ],
 )
-@pytest.mark.parametrize("anchor", [1.0, -1.0])
-def test_tables_from_the_real_axis_anchors_stay_under_the_size_cap(spec, anchor):
-    # the per-depth plan past the cap is reached only from off-axis anchors
-    assert orbits.fiber_table(parse_sequence(spec), 0, (1, 26), anchor) is not None
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_table_levels_stay_under_the_documented_bound(spec, anchor, metric):
+    # every level of a table holds fewer than 2^13 points (orbits docstring,
+    # certificate of the grid key)
+    seq = parse_sequence(spec)
+    levels, steps_1, _ = orbits._fiber_table(seq, 0, 1, 26, complex(anchor), metric)
+    assert max(steps.size for steps, *_ in levels) < 2**13 and steps_1.size < 2**13
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("n", [12, 20])
+def test_table_step_extremes_match_the_traversal(spec, metric, anchor, n):
+    # gap_scan reads the step extremes of the depth-n tree from its table;
+    # a point merged away on the grid key has held no extreme in these cases
+    seq = parse_sequence(spec)
+    stats = orbits.TreeStats()
+    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
+        pass
+    table = orbits.fiber_table(seq, 0, (n, n), anchor, metric)
+    assert (table.step_log_min, table.step_log_max) == (stats.step_log_min, stats.step_log_max)
 
 
 @pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
@@ -200,11 +155,8 @@ def test_tables_from_the_real_axis_anchors_stay_under_the_size_cap(spec, anchor)
 @pytest.mark.parametrize("j", [0, 3])
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, anchor):
-    # 2^3-leaf blocks: the fiber point table is capped at 2 points, so the
-    # pressure sums fall back to one job per depth over the anchor's own tree,
-    # which splits a level that would double past 2 runs into chunks, and the
-    # window to leaf_log_derivs halves whose trees deeper than 4 stream prefix
-    # blocks.
+    # 2^3-leaf blocks: the tables do not depend on the block size, while the
+    # direct trees deeper than 3 stream prefix blocks.
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
@@ -235,13 +187,12 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     assert window.bracket() == pytest.approx(want_bracket, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("spec", RUN_SPECS + ["periodic:55.1+20i,-60+30.5i"])
+@pytest.mark.parametrize("spec", TABLE_SPECS)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("j", [0, 3])
 def test_window_leaf_extremes_match_operator_sums(spec, metric, anchor, j):
-    # the window and log_operator_sums read the same fiber point table, or,
-    # past its size cap, the traversal's extremes of the same trees
+    # the window and log_operator_sums read the same fiber point table
     seq = parse_sequence(spec)
     window = WindowPressure(seq, (8, 20), j, anchor, metric)
     _, leaf_min, leaf_max = log_operator_sums(seq, [0.0], (8, 20), j, anchor, metric)
@@ -260,10 +211,8 @@ def _leaf_slope(seq, j, n, anchor, metric, t):
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("block_log2", [None, 3])
 def test_window_rows_and_slopes_match_direct_trees(monkeypatch, metric, anchor, block_log2):
-    # at the default _BLOCK_LOG2 the window sweeps its fiber point table; with
-    # 2^3-leaf blocks the table is capped at 2 points and the window falls back
-    # to one leaf_log_derivs half per depth, whose trees deeper than 4 stream
-    # prefix blocks
+    # the window sweeps its fiber point table at any _BLOCK_LOG2; with 2^3-leaf
+    # blocks the direct trees deeper than 3 stream prefix blocks
     if block_log2 is not None:
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
     depths = range(4, 11)

@@ -19,7 +19,6 @@ from fiberdim import (
     rho_estimate,
     word_of,
 )
-from fiberdim.transfer import logsumexp_slope
 from oracles import brute_leaves, brute_operator_sum
 
 CONST50 = Constant(50)
@@ -81,16 +80,6 @@ def test_half_tree_logsumexp_is_bit_identical():
             half, _ = leaf_log_derivs(seq, 0, n)
             for t in (0.0, 0.17, 0.4, 1.3):
                 assert logsumexp(half * -t, 2) == logsumexp(full * -t)
-
-
-def test_logsumexp_slope_reuses_a_buffer():
-    # WindowPressure forms the exponentials of every evaluation in one buffer
-    half, _ = leaf_log_derivs(MIXED, 0, 12)
-    buf = np.full(half.size + 3, np.nan)
-    for t in (0.0, 0.17, 1.3):
-        value, slope = logsumexp_slope(half, t, 2, buf[: half.size])
-        assert value == logsumexp(half * -t, 2)
-        assert (value, slope) == logsumexp_slope(half, t, 2, np.empty(half.size))
 
 
 def test_rho_estimate_exact_at_zero():
