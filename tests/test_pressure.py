@@ -101,6 +101,51 @@ def test_table_sums_match_operator_power(spec, metric, anchor):
             assert _ulps(leaf_max[i], stats.leaf_log_max) <= TABLE_ORDER_ULPS
 
 
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("n", [1, 12, 20])  # grid cells merge from about level 12
+def test_single_depth_tables_match_operator_power(spec, metric, anchor, n):
+    # n_range = (n, n) keeps no anchor copy below the top level, the table
+    # gap_scan and single-depth windows build
+    seq = parse_sequence(spec)
+    want = np.array([v.log_value for v in operator_power(seq, 0, n, TABLE_T, anchor, metric)])
+    stats = orbits.TreeStats()
+    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
+        pass
+    sums, leaf_min, leaf_max = log_operator_sums(seq, TABLE_T, (n, n), 0, anchor, metric)
+    assert sums.shape == (1, len(TABLE_T))
+    assert np.all(np.abs(sums[0] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert abs(sums[0, 0] - n * LOG2) <= 1e-15 * n  # a_n(0) = log 2
+    assert _ulps(leaf_min[0], stats.leaf_log_min) <= TABLE_ORDER_ULPS
+    assert _ulps(leaf_max[0], stats.leaf_log_max) <= TABLE_ORDER_ULPS
+
+
+@pytest.mark.parametrize("spec", ["const:50", TABLE_SPECS[3]])
+def test_table_sums_match_streamed_oracle(monkeypatch, spec):
+    # 2^5-leaf blocks: the oracle streams prefix blocks; the table, built at
+    # fiber 3 from the off-axis anchor, does not read _BLOCK_LOG2
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 5)
+    seq, anchor = parse_sequence(spec), -1.05 + 0.1j
+    sums, _, _ = log_operator_sums(seq, TABLE_T, (1, 12), 3, anchor, "spherical")
+    for i, n in enumerate(range(1, 13)):
+        ops = operator_power(seq, 3, n, TABLE_T, anchor, "spherical")
+        want = np.array([v.log_value for v in ops])
+        assert np.all(np.abs(sums[i] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+def test_table_columns_change_no_bit_across_t():
+    # each t is swept on its own: a column is the same alone or among 70, and
+    # log_sums_slopes gives it bit for bit
+    seq, t_grid = parse_sequence(TABLE_SPECS[2]), np.linspace(0.0, 2.0, 70)
+    table = orbits.fiber_table(seq, 0, (6, 14), -1.0, "spherical")
+    sums = table.log_sums(t_grid)
+    for k in range(0, 70, 9):
+        one = table.log_sums([t_grid[k]])
+        assert np.array_equal(one[:, 0], sums[:, k])
+        assert np.array_equal(table.log_sums_slopes(t_grid[k])[0], sums[:, k])
+
+
 @pytest.mark.parametrize(
     "spec,anchor,n_range",
     [("random:seed=7,min=45,max=80", 1.0, (4, 26)), ("const:50", -1.05 + 0.1j, (4, 26))],
