@@ -14,8 +14,13 @@ override it.
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 from contextlib import contextmanager
+
+# one BLAS thread: the only LAPACK call is a 2-column polyfit, and a second thread spins at start-up
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -40,7 +45,6 @@ from .orbits import check_depth, distinct_points, julia_cloud, resolution_bound,
 from .parallel import available_workers
 from .pressure import dimension_pair, pressure_curve, write_pressure_csv, write_roots_csv
 from .sequences import parse_complex, parse_schedule, parse_sequence
-from .verification import run_all
 
 GRAMMAR = """sequence spec grammar:
   const:50                  constant parameter (complex literals as a+bi)
@@ -72,7 +76,10 @@ def _int_pair(text: str) -> tuple[int, int]:
 def _grid(text: str) -> np.ndarray:
     try:
         start, stop, count = text.split(":")
-        return np.linspace(float(start), float(stop), int(count))
+        start, stop, count = float(start), float(stop), int(count)
+        if not (math.isfinite(start) and math.isfinite(stop)):  # linspace would warn
+            raise argparse.ArgumentTypeError(f"grid ends must be finite, got {text!r}")
+        return np.linspace(start, stop, count)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:count, got {text!r}") from None
 
@@ -279,6 +286,8 @@ def _cmd_motion(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verification import run_all  # only verify compiles the suite and transfer
+
     results = run_all(parse_sequence(args.seq), depth=args.depth, tol=args.tol, seed=args.seed)
     for result in results:
         print(result.line())

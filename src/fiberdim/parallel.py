@@ -15,6 +15,9 @@ import os
 
 
 def available_workers() -> int:
+    """The CPUs this process may run on (its affinity mask where the platform has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -139,6 +139,7 @@ def test_usage_errors(tmp_path, capsys):
         ["julia", "--seq", "const:1e400", "--depth", "2"],
         ["julia", "--seq", "random:seed=1,min=45,max=inf", "--depth", "2"],
         ["pressure", "--seq", "const:50", "--t", "nan:1:3", "--n", "2:4"],
+        ["pressure", "--seq", "const:50", "--t", "0:inf:3", "--n", "2:4"],  # linspace warned
         ["pressure", "--seq", "const:50", "--t", "0:0.4:0", "--n", "2:4"],
         ["perturb", "--base", "const:50", "--x=0:0:0", "--window", "2:4"],
         ["perturb", "--base", "const:50", "--mode", "gap", "--x=0:0:0", "--window", "2:4"],

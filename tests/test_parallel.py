@@ -4,7 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from fiberdim import Constant, verification
+from fiberdim import Constant, cli, parallel, verification
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,3 +56,13 @@ def test_verify_determinism_check_starts_a_pool(monkeypatch):
     monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     result = verification.check_transfer_parallel(Constant(50), 8)
     assert result.passed and pools == [2]
+
+
+def test_available_workers_counts_the_affinity_mask(monkeypatch):
+    # an affinity-limited process gets one default perturb worker, not one per host CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert parallel.available_workers() == 1
+    assert cli._build_parser().parse_args(["perturb", "--base", "const:50"]).workers == 1
+    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
+    assert parallel.available_workers() == 8

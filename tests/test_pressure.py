@@ -146,6 +146,31 @@ def test_table_columns_change_no_bit_across_t():
         assert np.array_equal(table.log_sums_slopes(t_grid[k])[0], sums[:, k])
 
 
+# The grid key's certificate (orbits docstring): a depth-n leaf log-derivative
+# moves by less than MERGE_LIPSCHITZ[metric] * n * q when cells merge.
+MERGE_LIPSCHITZ = {"planar": 0.03, "spherical": 1.13}
+
+
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+def test_grid_merged_table_within_merge_bound(monkeypatch, metric):
+    # const:50 from the off-axis anchor keeps no two points bit-equal, so the
+    # table with the identity key is bit-exact: it merges no point
+    seq, anchor, n_range = parse_sequence("const:50"), -1.05 + 0.1j, (1, 16)
+    merged = orbits.fiber_table(seq, 0, n_range, anchor, metric)
+    with monkeypatch.context() as patch:
+        patch.setattr(orbits, "_grid_key", lambda pts: pts)
+        exact = orbits.fiber_table(seq, 0, n_range, anchor, metric)
+    assert merged._size < exact._size  # the key merges points: the bound is put to work
+    depths = np.arange(n_range[0], n_range[1] + 1)
+    bound = MERGE_LIPSCHITZ[metric] * depths * orbits._GRID
+    for got, want in ((merged.leaf_log_min, exact.leaf_log_min),
+                      (merged.leaf_log_max, exact.leaf_log_max)):
+        assert np.all(np.abs(got - want) <= bound + TABLE_ORDER_ULPS * np.spacing(want))
+    got, want = merged.log_sums(TABLE_T), exact.log_sums(TABLE_T)
+    slack = np.multiply.outer(bound, TABLE_T) + 1e-13 * np.maximum(1.0, np.abs(want))
+    assert np.all(np.abs(got - want) <= slack)
+
+
 @pytest.mark.parametrize(
     "spec,anchor,n_range",
     [("random:seed=7,min=45,max=80", 1.0, (4, 26)), ("const:50", -1.05 + 0.1j, (4, 26))],
