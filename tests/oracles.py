@@ -3,10 +3,14 @@
 Everything here works leaf-by-leaf with scalar cmath, enumerating words
 explicitly and measuring derivatives along the forward orbit, so it shares no
 code path (and no reduction order) with the vectorized implementation.
+The random annulus draw is checked against numpy's own Philox generator.
 """
 
 import cmath
+import math
 from itertools import product
+
+import numpy as np
 
 
 def forward(l, z):
@@ -71,3 +75,11 @@ def bisection_zero(window, reduce, bracket, tol):
             return mid
         lo, hi = (mid, hi) if f > 0 else (lo, mid)
     raise AssertionError("bisection oracle did not converge")
+
+
+def numpy_annulus_draw(seed, k, min_mod, max_mod):
+    """l_k of random:seed=seed,min=min_mod,max=max_mod from numpy's Generator(Philox)."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+    modulus = gen.uniform(min_mod, max_mod)
+    argument = gen.uniform(0.0, 2.0 * math.pi)
+    return complex(modulus * math.cos(argument), modulus * math.sin(argument))

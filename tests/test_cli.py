@@ -138,6 +138,9 @@ def test_usage_errors(tmp_path, capsys):
         ["julia", "--seq", "const:nan", "--depth", "2"],
         ["julia", "--seq", "const:1e400", "--depth", "2"],
         ["julia", "--seq", "random:seed=1,min=45,max=inf", "--depth", "2"],
+        # a seed past the 64-bit Philox key word
+        ["pressure", "--seq", "random:seed=18446744073709551616,min=45,max=80", "--n", "4:5",
+         "--t", "0:0.4:3"],
         ["pressure", "--seq", "const:50", "--t", "nan:1:3", "--n", "2:4"],
         ["pressure", "--seq", "const:50", "--t", "0:inf:3", "--n", "2:4"],  # linspace warned
         ["pressure", "--seq", "const:50", "--t", "0:0.4:0", "--n", "2:4"],

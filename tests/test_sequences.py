@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from fiberdim import (
     parse_sequence,
 )
 from fiberdim import sequences
-from oracles import cesaro_from_blocks
+from oracles import cesaro_from_blocks, numpy_annulus_draw
 
 SCHEDULE_2X2 = SignSchedule(2, 2, 1)
 
@@ -114,6 +116,33 @@ def test_random_annulus_is_pure_and_in_annulus():
     draw.cache_clear()
     assert [at(a, k) for k in (1, 2, 3)] == [draw.__wrapped__(a, k) for k in (1, 2, 3)]
     assert draw.cache_info().currsize == 3 and draw.cache_info().maxsize is not None
+
+
+def _bits(z):
+    return struct.pack("<dd", z.real, z.imag)  # bit for bit, sign of zero included
+
+
+def test_annulus_draw_matches_numpy_philox():
+    rng = random.Random(19)
+    edge_seeds = (0, 1, 7, 2**32 - 1, 2**63, 2**64 - 1)
+    cases = [(seed, k) for seed in edge_seeds for k in (1, 2, 26, 2**40)]
+    cases += [(rng.randrange(2**64), rng.randrange(1, 2**64)) for _ in range(2000)]
+    for min_mod, max_mod in ((45.0, 80.0), (40.5, 40.5), (41.0, 1e6)):
+        for seed, k in cases:
+            got = sequences._annulus_draw.__wrapped__(RandomAnnulus(seed, min_mod, max_mod), k)
+            assert _bits(got) == _bits(numpy_annulus_draw(seed, k, min_mod, max_mod)), (seed, k)
+
+
+def test_random_annulus_key_words_are_64_bits():
+    RandomAnnulus(seed=2**64 - 1)
+    for seed in (-1, 2**64, 2**70):
+        with pytest.raises(InvalidSpec, match="seed"):
+            RandomAnnulus(seed=seed)
+    spec = RandomAnnulus(seed=7)
+    assert abs(at(spec, 2**64 - 1)) >= 45.0
+    for k in (2**64, 2**64 + 1):  # no wrap onto k - 2^64
+        with pytest.raises(OverflowError):
+            at(spec, k)
 
 
 def test_invalid_specs_rejected():

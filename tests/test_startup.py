@@ -1,4 +1,5 @@
-"""Start-up: what `import fiberdim` and `import fiberdim.cli` load, and the BLAS thread count."""
+"""Start-up: what `import fiberdim` and `import fiberdim.cli` load, the BLAS thread count, and
+which runs load `numpy.random`."""
 
 import os
 import subprocess
@@ -90,3 +91,29 @@ def test_blas_thread_count_changes_no_byte(tmp_path):
                         (run_dir / "box.csv").read_bytes()))
     assert outputs[0] == outputs[1]
     assert "box-check: slope" in outputs[0][0]
+
+
+def test_import_sequences_loads_no_numpy():
+    code = "import sys, fiberdim.sequences; "
+    code += "print(any(m.split('.')[0] == 'numpy' for m in sys.modules))"
+    assert _python(code) == "False"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pressure", "--seq", "random:seed=7,min=45,max=80", "--t", "0:0.4:3", "--n", "4:8"],
+        ["perturb", "--base", "random:seed=7,min=45,max=80", "--x=-0.05:0.05:3", "--t", "0.18",
+         "--window", "2:6", "--workers", "1"],
+    ],
+    ids=["pressure", "perturb"],
+)
+def test_random_spec_runs_never_load_numpy_random(args, tmp_path):
+    # random: draws come from the pure-Python Philox in sequences; numpy.random
+    # loads only for the box count's offsets and verify
+    code = (
+        "import sys; from fiberdim import cli; "
+        f"code = cli.main({[*args, '-o', str(tmp_path / 'out.csv')]!r}); "
+        "print(code, 'numpy.random' in sys.modules)"
+    )
+    assert _python(code).splitlines()[-1] == "0 False"
