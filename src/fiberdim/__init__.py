@@ -56,7 +56,6 @@ _EXPORTS = {
     "orbits": (
         "JuliaCloud",
         "RoundTripReport",
-        "TreeStats",
         "composed_forward_residual",
         "depth_limit",
         "iter_leaf_blocks",
@@ -100,7 +99,6 @@ _EXPORTS = {
         "RhoEstimate",
         "change_of_variables_check",
         "conformal_atoms",
-        "logsumexp",
         "operator_power",
         "rho_estimate",
     ),

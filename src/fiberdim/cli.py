@@ -3,7 +3,7 @@
 Subcommands: julia (leaf cloud CSV), pressure (curve CSV), dimension (Bowen
 zeros, optional box-count cross-check), perturb (kink or gap scan CSV),
 motion (speed check), verify (invariant suite).  Exit codes: 0 success, 1
-invariant failure, 2 usage error.
+invariant failure, 2 usage error (also an output path that cannot be opened).
 
 All floats are printed with 17 significant digits and jobs are aggregated in
 grid order, so outputs are byte-identical for any --workers value.  A
@@ -324,6 +324,9 @@ def main(argv=None) -> int:
     except (InvalidSpec, PerturbationTooLarge, DomainError, DepthLimit, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(GRAMMAR, file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be opened
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BracketFailure, SandwichViolation, ResolutionError) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

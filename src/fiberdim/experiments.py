@@ -22,7 +22,7 @@ import numpy as np
 from .errors import SandwichViolation
 from .orbits import PLANAR, fiber_table, iter_leaf_blocks, leaf_log_derivs, word_of
 from .parallel import run_jobs
-from .pressure import dimension_pair, log_operator_sums
+from .pressure import dimension_pair
 from .sequences import (
     PerturbedSequence,
     SequenceSpec,
@@ -79,25 +79,22 @@ def sandwich_check(
 
     Verifies, for every n <= n_max, the operator-level inequality above and
     the leaf-level form |log_deriv_pert - log_deriv_base - x S_n| <= n|x|/2
-    over all leaves: a_n from log_operator_sums, the leaves from the
-    leaf_log_derivs halves of both depth-n trees at every n (by the
-    first-bit identity a half holds every leaf log-derivative).  A violation
-    beyond float slack is a bug: SandwichViolation names the worst leaf of
-    the first failing depth.
+    over all leaves: a_n from the fiber point tables (_kink_cell), the
+    leaves from the leaf_log_derivs halves of both depth-n trees at every n
+    (by the first-bit identity a half holds every leaf log-derivative).  A
+    violation beyond float slack is a bug: SandwichViolation names the worst
+    leaf of the first failing depth.
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("sandwich_check requires a finite t > 0")
     pert = PerturbedSequence(base, schedule, x)
-    a_base, a_pert = (
-        (log_operator_sums(seq, [t], (1, n_max), j, anchor)[0][:, 0] / range(1, n_max + 1)).tolist()
-        for seq in (base, pert)
-    )
+    a_base, a_pert = (_kink_cell((seq, t, (1, n_max), anchor, j)).tolist() for seq in (base, pert))
     # signs entering fiber j are s_{j+1}, ..., s_{j+n}
     offset = cesaro_sum(schedule, j)[0] if j else 0
     rows = []
     leaf_slack_max = -math.inf
     for n in range(1, n_max + 1):
-        lds_base, lds_pert = (leaf_log_derivs(seq, j, n, anchor)[0] for seq in (base, pert))
+        lds_base, lds_pert = (leaf_log_derivs(seq, j, n, anchor) for seq in (base, pert))
         s_n = cesaro_sum(schedule, j + n)[0] - offset
         residual = abs(a_pert[n - 1] - (a_base[n - 1] - t * x * s_n / n)) - t * abs(x) / 2.0
         rows.append(SandwichRow(n, s_n, a_base[n - 1], a_pert[n - 1], residual))
@@ -234,7 +231,7 @@ def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
 def _kink_cell(args):
     """a_n(t) for every n in the window, reduced serially inside one job."""
     seq, t, window, anchor, j = args
-    sums = log_operator_sums(seq, [t], window, j, anchor)[0][:, 0]
+    sums = fiber_table(seq, j, window, anchor).log_sums([t])[:, 0]
     return sums / np.arange(window[0], window[1] + 1)
 
 

@@ -28,7 +28,7 @@ uint64 views of both parts: -0.0 and +0.0 print differently and stay apart.
 Step logs and roots are taken once per run and np.repeat(steps, counts) adds
 each run's step log to its leaves, so every leaf gets the same arithmetic on
 the same inputs in the same order as a level over all leaves, and no bit
-moves; step-log extremes range over the same values.
+moves.
 
 Distinct levels (distinct_points, roundtrip_check): what depends only on the
 point set of each level walks the levels from the anchor and holds one at a
@@ -132,7 +132,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -160,28 +160,6 @@ def depth_limit() -> int:
     return int(os.environ.get("FIBERDIM_DEPTH_LIMIT", _DEFAULT_DEPTH_LIMIT))
 
 
-@dataclass
-class TreeStats:
-    """Extremes gathered during a traversal.
-
-    step_log_min/max bound the one-step log-derivative over every tree edge;
-    leaf_log_min/max bound the accumulated leaf values.
-    """
-
-    step_log_min: float = math.inf
-    step_log_max: float = -math.inf
-    leaf_log_min: float = math.inf
-    leaf_log_max: float = -math.inf
-
-    def _update_steps(self, steps: np.ndarray) -> None:
-        self.step_log_min = min(self.step_log_min, float(steps.min()))
-        self.step_log_max = max(self.step_log_max, float(steps.max()))
-
-    def _update_leaves(self, lds: np.ndarray) -> None:
-        self.leaf_log_min = min(self.leaf_log_min, float(lds.min()))
-        self.leaf_log_max = max(self.leaf_log_max, float(lds.max()))
-
-
 def check_depth(n: int) -> None:
     """Reject a negative depth or one above the configured cap."""
     if n < 0:
@@ -196,13 +174,10 @@ def _validate(n: int, anchor: complex) -> None:
         raise DomainError(f"anchor {anchor} lies outside the closed trapping disks")
 
 
-def _step_logs(
-    l: complex, parents: np.ndarray, metric: str, stats: TreeStats | None = None
-) -> np.ndarray:
+def _step_logs(l: complex, parents: np.ndarray, metric: str) -> np.ndarray:
     """One-step log-derivatives at the branch-0 preimages of `parents`, from the parents alone.
 
-    The step-log identity of the module docstring: no root is taken.  Their
-    extremes go into `stats` when given.
+    The step-log identity of the module docstring: no root is taken.
     """
     abs_l = abs(l)
     mag = 2.0 * parents
@@ -219,8 +194,6 @@ def _step_logs(
         steps -= np.log1p(parent_sq, out=parent_sq)
     elif metric != PLANAR:
         raise ValueError(f"unknown metric {metric!r}")
-    if stats is not None:
-        stats._update_steps(steps)
     return steps
 
 
@@ -242,14 +215,14 @@ def _branch0_root(l: complex, pts: np.ndarray) -> None:
     pts.real = r
 
 
-def _inverse_step(l, pts, counts, lds, metric, stats):
+def _inverse_step(l, pts, counts, lds, metric):
     """Replace the runs pts by their branch-0 preimages under f_l and add the one-step log-derivatives to lds.
 
     Run i stands for counts[i] consecutive leaves of lds (one each when counts
     is None).  The branch-1 preimages are the negatives, with the same
     log-derivatives since |-r| = |r|.
     """
-    steps = _step_logs(l, pts, metric, stats)
+    steps = _step_logs(l, pts, metric)
     _branch0_root(l, pts)
     lds += steps if counts is None else np.repeat(steps, counts)
 
@@ -283,7 +256,7 @@ def _merge_runs(pts, r, counts):
     return starts.size, counts
 
 
-def _iter_runs(seq, j, n, anchor, metric, stats):
+def _iter_runs(seq, j, n, anchor, metric):
     """Yield (start_index, points, counts, log_derivs) blocks of the depth-n tree in run-length form.
 
     Block leaf i lies at np.repeat(points, counts)[i] (points itself when
@@ -304,7 +277,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats):
     r = s = 1  # runs, leaves
     for m in range(n - 1, prefix_bits - 1, -1):
         run_counts = None if counts is None else counts[:r]
-        _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric, stats)
+        _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric)
         # a merge pays off only on the levels still to come
         if m:
             r, counts = _merge_runs(pts, r, counts)
@@ -323,7 +296,7 @@ def _iter_runs(seq, j, n, anchor, metric, stats):
     for prefix in range(1 << prefix_bits):
         block_pts, block_lds = pts.copy(), lds.copy()
         for m in range(prefix_bits - 1, -1, -1):
-            _inverse_step(params[m], block_pts, counts, block_lds, metric, stats)
+            _inverse_step(params[m], block_pts, counts, block_lds, metric)
             if (prefix >> (prefix_bits - 1 - m)) & 1:
                 np.negative(block_pts, out=block_pts)
         yield prefix * size, block_pts, counts, block_lds
@@ -335,7 +308,6 @@ def iter_leaf_blocks(
     n: int = 1,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-    stats: TreeStats | None = None,
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start_index, points, log_derivs) blocks covering all 2**n leaves.
 
@@ -344,9 +316,7 @@ def iter_leaf_blocks(
     (suffix arrays bottom-up, then one pass per word prefix), so results are
     bit-identical however the blocks are consumed.
     """
-    for start, pts, counts, lds in _iter_runs(seq, j, n, anchor, metric, stats):
-        if stats is not None:
-            stats._update_leaves(lds)
+    for start, pts, counts, lds in _iter_runs(seq, j, n, anchor, metric):
         yield start, pts if counts is None else np.repeat(pts, counts), lds
 
 
@@ -356,32 +326,28 @@ def leaf_log_derivs(
     n: int = 1,
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
-) -> tuple[np.ndarray, TreeStats]:
+) -> np.ndarray:
     """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
 
-    By the first-bit identity each value stands for two leaves; n = 0 returns
-    [0], the anchor, which stands for one.  The stats are those of the full
-    depth-n tree.  The half is the depth-(n-1) tree at fiber j+1 plus one
-    branch-0 step with l_{j+1}, the same arithmetic as the full traversal,
-    whose step log is taken once per run.  The half fills one new array; the
-    traversal beside it streams _iter_runs' prefix blocks, so its arrays
-    hold at most 2**_BLOCK_LOG2 points each at any depth.
+    By the first-bit identity each value stands for two leaves, so their
+    extremes are those of the full depth-n tree; n = 0 returns [0], the
+    anchor, which stands for one.  The half is the depth-(n-1) tree at fiber
+    j+1 plus one branch-0 step with l_{j+1}, the same arithmetic as the full
+    traversal, whose step log is taken once per run.  The half fills one new
+    array; the traversal beside it streams _iter_runs' prefix blocks, so its
+    arrays hold at most 2**_BLOCK_LOG2 points each at any depth.
     """
     _validate(n, anchor)
-    stats = TreeStats()
     if n == 0:
-        out = np.zeros(1)
-    else:
-        l = at(seq, j + 1)
-        out = np.empty(1 << (n - 1))
-        runs = _iter_runs(seq, j + 1, n - 1, anchor, metric, stats)
-        for start, pts, counts, lds in runs:
-            steps = _step_logs(l, pts, metric, stats)
-            if counts is not None:
-                steps = np.repeat(steps, counts)
-            np.add(lds, steps, out=out[start : start + lds.size])
-    stats._update_leaves(out)
-    return out, stats
+        return np.zeros(1)
+    l = at(seq, j + 1)
+    out = np.empty(1 << (n - 1))
+    for start, pts, counts, lds in _iter_runs(seq, j + 1, n - 1, anchor, metric):
+        steps = _step_logs(l, pts, metric)
+        if counts is not None:
+            steps = np.repeat(steps, counts)
+        np.add(lds, steps, out=out[start : start + lds.size])
+    return out
 
 
 def _grid_key(pts):
@@ -563,7 +529,6 @@ class JuliaCloud:
     depth: int
     anchor: complex
     resolution: float
-    stats: TreeStats = field(repr=False, default_factory=TreeStats)
 
 
 def julia_cloud(
@@ -574,10 +539,9 @@ def julia_cloud(
     metric: str = PLANAR,
 ) -> JuliaCloud:
     """Materialize the 2**depth leaf points (word order) plus the resolution bound."""
-    stats = TreeStats()
     pts_parts = []
     lds_parts = []
-    for _, pts, lds in iter_leaf_blocks(seq, j, depth, anchor, metric, stats):
+    for _, pts, lds in iter_leaf_blocks(seq, j, depth, anchor, metric):
         pts_parts.append(pts)
         lds_parts.append(lds)
     return JuliaCloud(
@@ -588,7 +552,6 @@ def julia_cloud(
         depth=depth,
         anchor=complex(anchor),
         resolution=resolution_bound(seq, depth, j),
-        stats=stats,
     )
 
 

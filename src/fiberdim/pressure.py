@@ -13,7 +13,7 @@ row step) or of max_n a_n (argmax row step); bisection is the fallback step.
 The slope floor min(log(80/3), min_n leaf_log_min_n / n) converts the
 residual tolerance into a t-uncertainty.
 
-Fiber point tables: log_operator_sums and WindowPressure take every depth
+Fiber point tables: pressure_curve and WindowPressure take every depth
 of their range from one table per fiber (orbits.fiber_table): the
 bit-distinct points of each level of the depth-n_max tree from the anchor,
 built once top-down, and upward sweeps that carry, for each point p of
@@ -46,27 +46,6 @@ from .sequences import SequenceSpec, format_sequence
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 _ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero() accepts
-
-
-def log_operator_sums(
-    seq: SequenceSpec,
-    t_grid,
-    n_range: tuple[int, int],
-    j: int = 0,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """log L^n 1(anchor) at fiber j for every n in n_range (inclusive) and t in t_grid.
-
-    Returns (sums, leaf_log_min, leaf_log_max): sums has one row per depth and
-    one column per t; the extremes are those of the depth-n leaf
-    log-derivatives.  Every depth comes from one fiber point table
-    (orbits.fiber_table), in this process.  The table's leaf extremes add the
-    same step logs as the traversal in another order, so they can differ
-    from its in the last bits.
-    """
-    table = fiber_table(seq, j, n_range, anchor, metric)
-    return table.log_sums(t_grid), table.leaf_log_min, table.leaf_log_max
 
 
 @dataclass(frozen=True)
@@ -120,8 +99,8 @@ def pressure_curve(
     if not (n_min <= w_lo <= w_hi <= n_max):
         raise ValueError(f"window {window} not contained in n range [{n_min}, {n_max}]")
     n_values = np.arange(n_min, n_max + 1)
-    sums, leaf_min, leaf_max = log_operator_sums(seq, t_grid, (n_min, n_max), j, anchor, metric)
-    values = sums / n_values[:, None]
+    table = fiber_table(seq, j, (n_min, n_max), anchor, metric)
+    values = table.log_sums(t_grid) / n_values[:, None]
     mask = (n_values >= w_lo) & (n_values <= w_hi)
     return PressureCurve(
         seq_id=format_sequence(seq),
@@ -133,8 +112,8 @@ def pressure_curve(
         window=(w_lo, w_hi),
         lower=values[mask].min(axis=0),
         upper=values[mask].max(axis=0),
-        leaf_log_min=leaf_min,
-        leaf_log_max=leaf_max,
+        leaf_log_min=table.leaf_log_min,
+        leaf_log_max=table.leaf_log_max,
     )
 
 

@@ -287,15 +287,21 @@ def format_complex(z: complex) -> str:
     return f"{z.real:.17g}{sign}{abs(z.imag):.17g}i"
 
 
-def _parse_keyvals(body: str, sep: str = ",") -> dict[str, str]:
+def _parse_keyvals(parts, allowed: tuple[str, ...]) -> dict[str, str]:
+    """The key=value strings of parts as a dict; an unknown or repeated key is an error."""
     out: dict[str, str] = {}
-    for part in body.split(sep):
+    for part in parts:
         if not part:
             continue
         key, _, value = part.partition("=")
+        key = key.strip()
         if not value:
             raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
+        if key not in allowed:
+            raise ValueError(f"unknown key {key!r}, expected one of {', '.join(allowed)}")
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
+        out[key] = value.strip()
     return out
 
 
@@ -324,13 +330,15 @@ def parse_sequence(text: str) -> SequenceSpec:
         return Periodic(tuple(parse_complex(p) for p in body.split(",") if p))
     if kind == "explicit":
         values, _, tail_part = body.partition(";")
-        keys = _parse_keyvals(tail_part) if tail_part else {}
+        keys = _parse_keyvals(tail_part.split(","), ("tail",))
         if "tail" not in keys:
             raise ValueError("explicit spec requires ';tail=<value>'")
         prefix = tuple(parse_complex(p) for p in values.split(",") if p)
         return Explicit(prefix, parse_complex(keys["tail"]))
     if kind == "random":
-        keys = _parse_keyvals(body)
+        keys = _parse_keyvals(body.split(","), ("seed", "min", "max"))
+        if "seed" not in keys:
+            raise ValueError("random spec requires 'seed=<int>'")
         return RandomAnnulus(
             seed=int(keys["seed"]),
             min_mod=float(keys.get("min", 45.0)),
@@ -339,19 +347,14 @@ def parse_sequence(text: str) -> SequenceSpec:
     if kind == "perturb":
         # The base value may itself contain ';' (explicit specs), so fold any
         # segment that does not start with a known key back into the base.
+        allowed = ("base", "blocks", "x", "sign")
         merged: list[str] = []
         for seg in body.split(";"):
-            key = seg.partition("=")[0].strip()
-            if merged and key not in ("base", "blocks", "x", "sign"):
+            if merged and seg.partition("=")[0].strip() not in allowed:
                 merged[-1] += ";" + seg
             else:
                 merged.append(seg)
-        keys = {}
-        for seg in merged:
-            key, sep2, value = seg.partition("=")
-            if not sep2:
-                raise ValueError(f"expected key=value, got {seg!r}")
-            keys[key.strip()] = value.strip()
+        keys = _parse_keyvals(merged, allowed)
         if "base" not in keys:
             raise ValueError("perturb spec requires 'base=<spec>'")
         first_sign = int(keys.get("sign", 1))

@@ -5,7 +5,7 @@ preimages; its n-th power evaluated on the constant function 1 is a sum of
 exp(-t * log_deriv) over the 2**n depth-n leaves.  Leaf weights scale like
 |l|^{-t n} (50**-20 underflows float64), so every sum is carried in log
 domain.  operator_power is the independent oracle of the pressure sums: it
-materializes every leaf block, reduces it with one logsumexp per t and folds
+materializes every leaf block, reduces it with logsumexp_grid and folds
 the blocks with logaddexp in word order, where pressure sweeps a
 deduplicated point table per fiber (orbits.fiber_table).
 """
@@ -22,42 +22,22 @@ from .orbits import PLANAR, iter_leaf_blocks, julia_cloud
 from .sequences import SequenceSpec, at
 
 
-def _logsumexp(
-    values: np.ndarray, multiplicity: int, out: np.ndarray | None = None, top: float | None = None
-) -> float:
-    """log(multiplicity * sum(exp(values))), max-shifted.
-
-    The shifted exponentials are written into `out` when given (which may be
-    `values` itself); `top`, when given, must be max(values).
-    """
-    m = float(np.max(values)) if top is None else top
-    w = np.subtract(values, m, out=out)
-    np.exp(w, out=w)
-    return m + math.log(multiplicity * float(np.sum(w)))
-
-
-def logsumexp(values: np.ndarray, multiplicity: int = 1) -> float:
-    """log(multiplicity * sum(exp(values))) of a 1-D array, max-shifted for stability.
-
-    With multiplicity 2 and the half that orbits.leaf_log_derivs returns, this
-    is bit-identical to the sum over the full 2**k array whenever the half has
-    at least 128 values: numpy's pairwise sum splits such an array exactly at
-    its half, and doubling is exact.  Smaller trees can differ in the last ulp.
-    """
-    return _logsumexp(values, multiplicity)
-
-
 def logsumexp_grid(log_derivs: np.ndarray, t_grid) -> np.ndarray:
-    """logsumexp(log_derivs * -t) for every t in t_grid, bit for bit, in one buffer.
+    """log(sum(exp(log_derivs * -t))) for every t >= 0 in t_grid, max-shifted, in one buffer.
 
     The max of log_derivs * -t is min(log_derivs) * -t: rounding x * -t is
     monotone in x, so both are the same float, -0.0 at t = 0.
     """
     log_min = float(np.min(log_derivs))
     buf = np.empty_like(log_derivs)
-    return np.array([
-        _logsumexp(np.multiply(log_derivs, -t, out=buf), 1, buf, log_min * -t) for t in t_grid
-    ])
+    sums = []
+    for t in t_grid:
+        top = log_min * -t
+        np.multiply(log_derivs, -t, out=buf)
+        buf -= top
+        np.exp(buf, out=buf)
+        sums.append(top + math.log(float(np.sum(buf))))
+    return np.array(sums)
 
 
 @dataclass(frozen=True)
@@ -81,7 +61,7 @@ def operator_power(
 ) -> list[OperatorValue]:
     """log L^n 1(anchor) for every t in t_grid, in one pass over the leaf blocks.
 
-    Each block is reduced with logsumexp and the blocks are folded with
+    Each block is reduced with logsumexp_grid and the blocks are folded with
     logaddexp in word order.  At t = 0 the operator counts preimages, so
     log_value is exactly n log 2.
     """
@@ -155,7 +135,7 @@ def conformal_atoms(
         raise ValueError("conformal_atoms requires N > j")
     cloud = julia_cloud(seq, depth, anchor, j, metric)
     lds = cloud.log_derivs
-    log_mass = logsumexp(lds * (-float(t)))
+    log_mass = float(logsumexp_grid(lds, [float(t)])[0])
     weights = np.exp(lds * (-float(t)) - log_mass)
     weights /= weights.sum()  # kill the residual of the shifted exponentials
     return ConformalAtoms(

@@ -19,6 +19,7 @@ from .errors import UnreachableTolerance
 from .orbits import (
     check_depth,
     composed_forward_residual,
+    fiber_table,
     iter_leaf_blocks,
     julia_cloud,
     leaf_log_derivs,
@@ -253,13 +254,14 @@ def check_transfer_monotone_convex(seq: SequenceSpec, depth: int) -> CheckResult
 
 def check_transfer_bracket(seq: SequenceSpec, depth: int) -> CheckResult:
     n = min(depth, 12)
-    lds, stats = leaf_log_derivs(seq, 0, n)
+    lds = leaf_log_derivs(seq, 0, n)  # first-bit identity: the full tree's extremes
+    leaf_min, leaf_max = float(lds.min()), float(lds.max())
     ok = True
     worst = 0.0
     for t in (0.5, 1.0):
         value = operator_power(seq, 0, n, [t])[0].log_value
-        lo = n * LOG2 - t * stats.leaf_log_max
-        hi = n * LOG2 - t * stats.leaf_log_min
+        lo = n * LOG2 - t * leaf_max
+        hi = n * LOG2 - t * leaf_min
         ok &= lo - 1e-9 <= value <= hi + 1e-9
         worst = max(worst, max(lo - value, value - hi))
     return _result(
@@ -269,13 +271,13 @@ def check_transfer_bracket(seq: SequenceSpec, depth: int) -> CheckResult:
 
 def check_transfer_rho(seq: SequenceSpec, depth: int) -> CheckResult:
     N = min(depth, 12)
-    _, stats = leaf_log_derivs(seq, 0, N)
+    table = fiber_table(seq, 0, (N, N))  # the step extremes of the depth-N tree
     ok = True
     details = []
     for t in (0.0, 0.5, 1.0):
         est = rho_estimate(seq, 0, t, N)
-        lo = 2.0 * math.exp(-t * stats.step_log_max)
-        hi = 2.0 * math.exp(-t * stats.step_log_min)
+        lo = 2.0 * math.exp(-t * table.step_log_max)
+        hi = 2.0 * math.exp(-t * table.step_log_min)
         ok &= lo * (1 - 1e-9) <= est.value <= hi * (1 + 1e-9)
         if t == 0.0:
             ok &= abs(est.value - 2.0) <= 1e-12

@@ -3,6 +3,8 @@
 Everything here works leaf-by-leaf with scalar cmath, enumerating words
 explicitly and measuring derivatives along the forward orbit, so it shares no
 code path (and no reduction order) with the vectorized implementation.
+The exception is plain_blocks, the level loop from before run-length levels:
+it shares the step kernels of orbits, but takes every level on every leaf.
 The random annulus draw is checked against numpy's own Philox generator.
 """
 
@@ -11,6 +13,9 @@ import math
 from itertools import product
 
 import numpy as np
+
+from fiberdim import at, orbits
+from fiberdim.family import apply
 
 
 def forward(l, z):
@@ -48,6 +53,44 @@ def brute_operator_sum(params, t, anchor=1.0 + 0.0j):
     """sum over leaves of |(f^n)'(z)|^{-t}, summed in word order."""
     leaves = brute_leaves(params, anchor)
     return sum(leaves[w][1] ** (-t) for w in sorted(leaves))
+
+
+def plain_blocks(seq, j, n, anchor, metric, steps=None, residuals=None):
+    """Reference iter_leaf_blocks: the level loop before run-length levels, every level on every leaf.
+
+    When given, steps collects the (min, max) of the step logs of every
+    level and block, and residuals max |f_l(child) - parent| of every step.
+    """
+    params = [at(seq, k) for k in range(j + 1, j + n + 1)]
+    prefix_bits = max(0, n - orbits._BLOCK_LOG2)
+    size = 1 << (n - prefix_bits)
+    pts = np.empty(size, dtype=np.complex128)
+    lds = np.empty(size)
+    pts[0], lds[0] = anchor, 0.0
+
+    def step(l, pts, lds):
+        step_logs = orbits._step_logs(l, pts, metric)
+        if steps is not None:
+            steps.append((float(step_logs.min()), float(step_logs.max())))
+        parents = pts.copy()
+        orbits._branch0_root(l, pts)
+        if residuals is not None:
+            residuals.append(float(np.abs(apply(l, pts) - parents).max()))
+        lds += step_logs
+
+    s = 1
+    for m in range(n - 1, prefix_bits - 1, -1):
+        step(params[m], pts[:s], lds[:s])
+        np.negative(pts[:s], out=pts[s : 2 * s])
+        lds[s : 2 * s] = lds[:s]
+        s *= 2
+    for prefix in range(1 << prefix_bits):
+        block_pts, block_lds = pts.copy(), lds.copy()
+        for m in range(prefix_bits - 1, -1, -1):
+            step(params[m], block_pts, block_lds)
+            if (prefix >> (prefix_bits - 1 - m)) & 1:
+                np.negative(block_pts, out=block_pts)
+        yield prefix * size, block_pts, block_lds
 
 
 def cesaro_from_blocks(block_lengths, first_sign, n):

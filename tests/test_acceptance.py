@@ -25,7 +25,6 @@ from fiberdim import (
     iter_leaf_blocks,
     julia_cloud,
     kink_scan,
-    leaf_log_derivs,
     motion_speed_check,
     operator_power,
     pressure_curve,
@@ -155,11 +154,11 @@ def test_c06_motion_bounds_depth_18():
 def test_c07_rho_bounds():
     for seq in (CONST50, Periodic((50, 60 + 10j, -45))):
         for depth in (6, 12, 20):
-            _, stats = leaf_log_derivs(seq, 0, depth)
+            table = orbits.fiber_table(seq, 0, (depth, depth))  # the step extremes of the tree
             for t in (0.0, 0.5, 1.0):
                 est = rho_estimate(seq, 0, t, depth)
-                lo = 2.0 * math.exp(-t * stats.step_log_max)
-                hi = 2.0 * math.exp(-t * stats.step_log_min)
+                lo = 2.0 * math.exp(-t * table.step_log_max)
+                hi = 2.0 * math.exp(-t * table.step_log_min)
                 assert lo * (1 - 1e-9) <= est.value <= hi * (1 + 1e-9)
                 if t == 0.0:
                     assert abs(est.value - 2.0) <= 1e-12

@@ -141,6 +141,14 @@ def test_usage_errors(tmp_path, capsys):
         # a seed past the 64-bit Philox key word
         ["pressure", "--seq", "random:seed=18446744073709551616,min=45,max=80", "--n", "4:5",
          "--t", "0:0.4:3"],
+        # a random spec without its seed, and unknown or repeated spec keys
+        ["pressure", "--seq", "random:min=45", "--n", "3:4", "--t", "0:0.4:3"],
+        ["perturb", "--base", "random:min=45", "--x=-0.1:0.1:3", "--window", "2:4"],
+        ["pressure", "--seq", "perturb:base=random:min=45;x=0.1", "--n", "3:4", "--t", "0:0.4:3"],
+        ["pressure", "--seq", "random:seed=1,mx=60", "--n", "3:4", "--t", "0:0.4:3"],
+        ["pressure", "--seq", "random:seed=1,seed=2", "--n", "3:4", "--t", "0:0.4:3"],
+        ["pressure", "--seq", "explicit:41;tail=50,foo=1", "--n", "3:4", "--t", "0:0.4:3"],
+        ["pressure", "--seq", "perturb:base=const:50;x=0.1;x=0.2", "--n", "3:4", "--t", "0:0.4:3"],
         ["pressure", "--seq", "const:50", "--t", "nan:1:3", "--n", "2:4"],
         ["pressure", "--seq", "const:50", "--t", "0:inf:3", "--n", "2:4"],  # linspace warned
         ["pressure", "--seq", "const:50", "--t", "0:0.4:0", "--n", "2:4"],
@@ -163,6 +171,11 @@ def test_usage_errors(tmp_path, capsys):
         ["verify", "--seq", "const:50", "--depth", "8", "--workers", "2"],
         # --anchor exists only where it is read (every subcommand but verify)
         ["verify", "--seq", "const:50", "--depth", "8", "--anchor=-1.05+0.1i"],
+        # output paths that cannot be opened (--box-out is opened after -o is written)
+        ["dimension", "--seq", "const:50", "--window", "3:4",
+         "-o", str(tmp_path / "no" / "x.csv")],
+        ["dimension", "--seq", "const:50", "--window", "3:4", "--box-check", "--box-depth", "12",
+         "--box-out", str(tmp_path / "no" / "x.csv"), "-o", str(tmp_path / "written.csv")],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err

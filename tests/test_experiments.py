@@ -16,8 +16,9 @@ from fiberdim import (
     motion_speed_check,
     sandwich_check,
 )
-from fiberdim import experiments, leaf_log_derivs, logsumexp, orbits, word_of
+from fiberdim import experiments, leaf_log_derivs, orbits, word_of
 from fiberdim.sequences import PerturbedSequence
+from fiberdim.transfer import logsumexp_grid
 
 CONST50 = Constant(50)
 SCHEDULE = SignSchedule(2, 2, 1)
@@ -95,11 +96,12 @@ def _per_depth_sandwich(base, x, t, n_max, anchor, j):
     offset = cesaro_sum(SCHEDULE, j)[0] if j else 0
     out = []
     for n in range(1, n_max + 1):
-        lds_base = leaf_log_derivs(base, j, n, anchor)[0]
-        lds_pert = leaf_log_derivs(pert, j, n, anchor)[0]
+        lds_base = leaf_log_derivs(base, j, n, anchor)
+        lds_pert = leaf_log_derivs(pert, j, n, anchor)
         s_n = cesaro_sum(SCHEDULE, j + n)[0] - offset
-        a_base = logsumexp(lds_base * -t, 2) / n  # each value stands for two leaves
-        a_pert = logsumexp(lds_pert * -t, 2) / n
+        # each value stands for two leaves
+        a_base = (logsumexp_grid(lds_base, [t])[0] + math.log(2)) / n
+        a_pert = (logsumexp_grid(lds_pert, [t])[0] + math.log(2)) / n
         residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2
         gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2
         k = int(np.argmax(gap))

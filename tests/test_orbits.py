@@ -26,9 +26,8 @@ from fiberdim import (
     write_cloud_csv,
 )
 from fiberdim import orbits
-from fiberdim.family import apply
 from fiberdim.cli import main
-from oracles import brute_leaves
+from oracles import brute_leaves, plain_blocks
 
 CONST50 = Constant(50)
 LOG50 = math.log(50.0)
@@ -185,18 +184,14 @@ def test_half_tree_log_derivs(monkeypatch, seq, metric, anchor):
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     monkeypatch.setenv("FIBERDIM_DEPTH_LIMIT", "12")
     for n in (0, 1, 2, 7, 12):
-        full_stats = orbits.TreeStats()
-        full = np.concatenate(
-            [lds for _, _, lds in iter_leaf_blocks(seq, 0, n, anchor, metric, full_stats)]
-        )
-        half, stats = leaf_log_derivs(seq, 0, n, anchor, metric)
+        full = np.concatenate([lds for _, _, lds in iter_leaf_blocks(seq, 0, n, anchor, metric)])
+        half = leaf_log_derivs(seq, 0, n, anchor, metric)
         if n == 0:
             assert np.array_equal(half, full) and np.array_equal(half, [0.0])
         else:
             # words 0w and 1w have bit-identical log-derivatives
             assert np.array_equal(half, full[: full.size // 2])
             assert np.array_equal(half, full[full.size // 2 :])
-        assert stats == full_stats
     with pytest.raises(DepthLimit):
         leaf_log_derivs(seq, 0, 13, anchor, metric)
 
@@ -331,54 +326,13 @@ def _bits(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(values).view(np.uint64)
 
 
-def _plain_blocks(seq, j, n, anchor, metric, stats=None, residuals=None):
-    """Reference: the level loop before run-length levels, every level on every leaf.
-
-    When given, residuals collects max |f_l(child) - parent| of every step.
-    """
-    params = [at(seq, k) for k in range(j + 1, j + n + 1)]
-    prefix_bits = max(0, n - orbits._BLOCK_LOG2)
-    size = 1 << (n - prefix_bits)
-    pts = np.empty(size, dtype=np.complex128)
-    lds = np.empty(size)
-    pts[0], lds[0] = anchor, 0.0
-
-    def step(l, pts, lds):
-        steps = orbits._step_logs(l, pts, metric, stats)
-        parents = pts.copy()
-        orbits._branch0_root(l, pts)
-        if residuals is not None:
-            residuals.append(float(np.abs(apply(l, pts) - parents).max()))
-        lds += steps
-
-    s = 1
-    for m in range(n - 1, prefix_bits - 1, -1):
-        step(params[m], pts[:s], lds[:s])
-        np.negative(pts[:s], out=pts[s : 2 * s])
-        lds[s : 2 * s] = lds[:s]
-        s *= 2
-    for prefix in range(1 << prefix_bits):
-        block_pts, block_lds = pts.copy(), lds.copy()
-        for m in range(prefix_bits - 1, -1, -1):
-            step(params[m], block_pts, block_lds)
-            if (prefix >> (prefix_bits - 1 - m)) & 1:
-                np.negative(block_pts, out=block_pts)
-        if stats is not None:
-            stats._update_leaves(block_lds)
-        yield prefix * size, block_pts, block_lds
-
-
 def _plain_half(seq, j, n, anchor, metric):
-    """Reference leaf_log_derivs over _plain_blocks."""
-    steps = orbits.TreeStats()
+    """Reference leaf_log_derivs over plain_blocks."""
     l = at(seq, j + 1)
-    out = np.concatenate([
-        lds + orbits._step_logs(l, pts, metric, steps)
-        for _, pts, lds in _plain_blocks(seq, j + 1, n - 1, anchor, metric, steps)
+    return np.concatenate([
+        lds + orbits._step_logs(l, pts, metric)
+        for _, pts, lds in plain_blocks(seq, j + 1, n - 1, anchor, metric)
     ])
-    stats = orbits.TreeStats(steps.step_log_min, steps.step_log_max)
-    stats._update_leaves(out)
-    return out, stats
 
 
 RUN_SEQS = [
@@ -397,23 +351,20 @@ def test_run_length_levels_match_plain_levels(monkeypatch, seq, metric, anchor, 
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
     # Runs merge here, except from an off-axis anchor over a real l: those
     # leaves keep distinct imaginary parts.
-    merged = [c is not None for _, _, c, _ in orbits._iter_runs(seq, 0, n, anchor, metric, None)]
+    merged = [c is not None for _, _, c, _ in orbits._iter_runs(seq, 0, n, anchor, metric)]
     assert all(merged) or (seq is CONST50 and complex(anchor).imag != 0)
-    want_stats, got_stats, residuals = orbits.TreeStats(), orbits.TreeStats(), []
-    want = list(_plain_blocks(seq, 0, n, anchor, metric, want_stats, residuals))
-    got = list(iter_leaf_blocks(seq, 0, n, anchor, metric, got_stats))
+    residuals = []
+    want = list(plain_blocks(seq, 0, n, anchor, metric, residuals=residuals))
+    got = list(iter_leaf_blocks(seq, 0, n, anchor, metric))
     assert [start for start, _, _ in got] == [start for start, _, _ in want]
     for (_, want_pts, want_lds), (_, pts, lds) in zip(want, got):
         assert np.array_equal(_bits(pts), _bits(want_pts))
         assert np.array_equal(_bits(lds), _bits(want_lds))
-    assert got_stats == want_stats
     if anchor == 1.0:  # the round trip walks the distinct levels from anchor 1
         residual = roundtrip_check(seq, 0, n).edge_residual_max
         assert residual == max(residuals) and residual > 0
-    half, stats = leaf_log_derivs(seq, 0, n, anchor, metric)
-    want_half, want_stats = _plain_half(seq, 0, n, anchor, metric)
-    assert np.array_equal(_bits(half), _bits(want_half))
-    assert stats == want_stats
+    half = leaf_log_derivs(seq, 0, n, anchor, metric)
+    assert np.array_equal(_bits(half), _bits(_plain_half(seq, 0, n, anchor, metric)))
 
 
 def test_merge_keeps_signed_zeros_apart():

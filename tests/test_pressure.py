@@ -22,9 +22,9 @@ from fiberdim import (
 )
 from fiberdim import orbits, pressure
 from fiberdim.cli import main
-from fiberdim.pressure import WindowPressure, log_operator_sums
+from fiberdim.pressure import WindowPressure
 from fiberdim.sequences import parse_sequence
-from oracles import bisection_zero
+from oracles import bisection_zero, plain_blocks
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -77,6 +77,12 @@ def _ulps(value, want):
     return np.abs(np.asarray(value) - want) / np.spacing(np.abs(want))
 
 
+def _leaf_extremes(seq, j, n, anchor, metric):
+    """The least and largest leaf log-derivative of the depth-n tree, over the traversal's blocks."""
+    blocks = [lds for _, _, lds in orbits.iter_leaf_blocks(seq, j, n, anchor, metric)]
+    return min(float(lds.min()) for lds in blocks), max(float(lds.max()) for lds in blocks)
+
+
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
@@ -87,18 +93,16 @@ def test_table_sums_match_operator_power(spec, metric, anchor):
     direct = {}
     for n in range(1, 21):
         want = np.array([v.log_value for v in operator_power(seq, 0, n, TABLE_T, anchor, metric)])
-        stats = orbits.TreeStats()
-        for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
-            pass
-        direct[n] = want, stats
+        direct[n] = want, _leaf_extremes(seq, 0, n, anchor, metric)
     for n_lo, n_hi in [(1, 1), (1, 12), (8, 20)]:
-        sums, leaf_min, leaf_max = log_operator_sums(seq, TABLE_T, (n_lo, n_hi), 0, anchor, metric)
+        table = orbits.fiber_table(seq, 0, (n_lo, n_hi), anchor, metric)
+        sums = table.log_sums(TABLE_T)
         for i, n in enumerate(range(n_lo, n_hi + 1)):
-            want, stats = direct[n]
+            want, (leaf_min, leaf_max) = direct[n]
             assert np.all(np.abs(sums[i] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
             assert abs(sums[i, 0] - n * LOG2) <= 1e-15 * n  # a_n(0) = log 2
-            assert _ulps(leaf_min[i], stats.leaf_log_min) <= TABLE_ORDER_ULPS
-            assert _ulps(leaf_max[i], stats.leaf_log_max) <= TABLE_ORDER_ULPS
+            assert _ulps(table.leaf_log_min[i], leaf_min) <= TABLE_ORDER_ULPS
+            assert _ulps(table.leaf_log_max[i], leaf_max) <= TABLE_ORDER_ULPS
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -110,15 +114,14 @@ def test_single_depth_tables_match_operator_power(spec, metric, anchor, n):
     # gap_scan and single-depth windows build
     seq = parse_sequence(spec)
     want = np.array([v.log_value for v in operator_power(seq, 0, n, TABLE_T, anchor, metric)])
-    stats = orbits.TreeStats()
-    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
-        pass
-    sums, leaf_min, leaf_max = log_operator_sums(seq, TABLE_T, (n, n), 0, anchor, metric)
+    leaf_min, leaf_max = _leaf_extremes(seq, 0, n, anchor, metric)
+    table = orbits.fiber_table(seq, 0, (n, n), anchor, metric)
+    sums = table.log_sums(TABLE_T)
     assert sums.shape == (1, len(TABLE_T))
     assert np.all(np.abs(sums[0] - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
     assert abs(sums[0, 0] - n * LOG2) <= 1e-15 * n  # a_n(0) = log 2
-    assert _ulps(leaf_min[0], stats.leaf_log_min) <= TABLE_ORDER_ULPS
-    assert _ulps(leaf_max[0], stats.leaf_log_max) <= TABLE_ORDER_ULPS
+    assert _ulps(table.leaf_log_min[0], leaf_min) <= TABLE_ORDER_ULPS
+    assert _ulps(table.leaf_log_max[0], leaf_max) <= TABLE_ORDER_ULPS
 
 
 @pytest.mark.parametrize("spec", ["const:50", TABLE_SPECS[3]])
@@ -127,7 +130,7 @@ def test_table_sums_match_streamed_oracle(monkeypatch, spec):
     # fiber 3 from the off-axis anchor, does not read _BLOCK_LOG2
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 5)
     seq, anchor = parse_sequence(spec), -1.05 + 0.1j
-    sums, _, _ = log_operator_sums(seq, TABLE_T, (1, 12), 3, anchor, "spherical")
+    sums = orbits.fiber_table(seq, 3, (1, 12), anchor, "spherical").log_sums(TABLE_T)
     for i, n in enumerate(range(1, 13)):
         ops = operator_power(seq, 3, n, TABLE_T, anchor, "spherical")
         want = np.array([v.log_value for v in ops])
@@ -180,7 +183,8 @@ def test_operator_sums_hold_no_value_per_leaf(spec, anchor, n_range):
     # table stays small only by merging points on the grid key
     tracemalloc.start()
     try:
-        log_operator_sums(parse_sequence(spec), np.linspace(0, 0.4, 21), n_range, 0, anchor)
+        table = orbits.fiber_table(parse_sequence(spec), 0, n_range, anchor)
+        table.log_sums(np.linspace(0, 0.4, 21))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,14 +214,15 @@ def test_table_levels_stay_under_the_documented_bound(spec, anchor, metric):
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("n", [12, 20])
 def test_table_step_extremes_match_the_traversal(spec, metric, anchor, n):
-    # gap_scan reads the step extremes of the depth-n tree from its table;
-    # a point merged away on the grid key has held no extreme in these cases
+    # gap_scan and verify read the step extremes of the depth-n tree from its
+    # table; a point merged away on the grid key has held no extreme in these cases
     seq = parse_sequence(spec)
-    stats = orbits.TreeStats()
-    for _ in orbits.iter_leaf_blocks(seq, 0, n, anchor, metric, stats):
+    steps = []
+    for _ in plain_blocks(seq, 0, n, anchor, metric, steps):
         pass
     table = orbits.fiber_table(seq, 0, (n, n), anchor, metric)
-    assert (table.step_log_min, table.step_log_max) == (stats.step_log_min, stats.step_log_max)
+    want = min(lo for lo, _ in steps), max(hi for _, hi in steps)
+    assert (table.step_log_min, table.step_log_max) == want
 
 
 @pytest.mark.parametrize("seq", [CONST50, MIXED, RandomAnnulus(seed=5)], ids=format)
@@ -230,20 +235,21 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     t_grid = np.linspace(0.0, 0.4, 5)
     curve = pressure_curve(seq, t_grid, (1, 10), j=j, anchor=anchor, metric=metric)
-    stats = {}
+    extremes = {}
     for i, n in enumerate(curve.n_values.tolist()):
         direct = operator_power(seq, j, n, t_grid, anchor, metric)
         want = np.array([v.log_value for v in direct]) / n
         assert np.abs(curve.values[i] - want).max() <= 1e-13
-        stats[n] = leaf_log_derivs(seq, j, n, anchor, metric)[1]
-        assert abs(curve.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
-        assert abs(curve.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
+        lds = leaf_log_derivs(seq, j, n, anchor, metric)  # the half holds every leaf value
+        extremes[n] = float(lds.min()), float(lds.max())
+        assert abs(curve.leaf_log_min[i] - extremes[n][0]) <= 1e-12
+        assert abs(curve.leaf_log_max[i] - extremes[n][1]) <= 1e-12
 
     window = WindowPressure(seq, (6, 10), j, anchor, metric)
     depths = range(6, 11)
     for i, n in enumerate(depths):
-        assert abs(window.leaf_log_min[i] - stats[n].leaf_log_min) <= 1e-12
-        assert abs(window.leaf_log_max[i] - stats[n].leaf_log_max) <= 1e-12
+        assert abs(window.leaf_log_min[i] - extremes[n][0]) <= 1e-12
+        assert abs(window.leaf_log_max[i] - extremes[n][1]) <= 1e-12
     t = 0.23
     want_rows = [operator_power(seq, j, n, [t], anchor, metric)[0].log_value / n for n in depths]
     rows, slopes = window.rows_and_slopes(t)
@@ -251,8 +257,8 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
     for slope, n in zip(slopes, depths):
         assert slope == pytest.approx(_leaf_slope(seq, j, n, anchor, metric, t), rel=1e-12, abs=0)
     want_bracket = (
-        min(n * LOG2 / stats[n].leaf_log_max for n in depths),
-        max(n * LOG2 / stats[n].leaf_log_min for n in depths),
+        min(n * LOG2 / extremes[n][1] for n in depths),
+        max(n * LOG2 / extremes[n][0] for n in depths),
     )
     assert window.bracket() == pytest.approx(want_bracket, rel=1e-12, abs=0)
 
@@ -262,17 +268,17 @@ def test_split_reduction_matches_direct_trees(monkeypatch, seq, metric, j, ancho
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("j", [0, 3])
 def test_window_leaf_extremes_match_operator_sums(spec, metric, anchor, j):
-    # the window and log_operator_sums read the same fiber point table
+    # the window and pressure_curve read the same fiber point table
     seq = parse_sequence(spec)
     window = WindowPressure(seq, (8, 20), j, anchor, metric)
-    _, leaf_min, leaf_max = log_operator_sums(seq, [0.0], (8, 20), j, anchor, metric)
-    assert np.array_equal(leaf_min, window.leaf_log_min)
-    assert np.array_equal(leaf_max, window.leaf_log_max)
+    curve = pressure_curve(seq, [0.0], (8, 20), j, anchor, metric)
+    assert np.array_equal(curve.leaf_log_min, window.leaf_log_min)
+    assert np.array_equal(curve.leaf_log_max, window.leaf_log_max)
 
 
 def _leaf_slope(seq, j, n, anchor, metric, t):
     """a_n'(t) = -(sum w ld / sum w) / n over the depth-n leaves, w = exp(-t ld), by fsum."""
-    lds = leaf_log_derivs(seq, j, n, anchor, metric)[0]  # each value stands for two leaves
+    lds = leaf_log_derivs(seq, j, n, anchor, metric)  # each value stands for two leaves
     w = np.exp(lds * -t - np.max(lds * -t))
     return -math.fsum(w * lds) / math.fsum(w) / n
 
@@ -291,9 +297,9 @@ def test_window_rows_and_slopes_match_direct_trees(monkeypatch, metric, anchor, 
         rows, slopes = window.rows_and_slopes(t)
         want = [operator_power(MIXED, 0, n, [t], anchor, metric)[0].log_value / n for n in depths]
         assert np.abs(rows - want).max() <= 1e-13
-        if block_log2 is None:  # the same sweep as log_operator_sums
-            sums = log_operator_sums(MIXED, [t], (4, 10), 0, anchor, metric)[0][:, 0]
-            assert np.array_equal(rows, sums / window.n_values)
+        if block_log2 is None:  # the same sweep as pressure_curve
+            sums = pressure_curve(MIXED, [t], (4, 10), 0, anchor, metric).values[:, 0]
+            assert np.array_equal(rows, sums)
         for slope, n in zip(slopes, depths):
             want = _leaf_slope(MIXED, 0, n, anchor, metric, t)
             assert slope == pytest.approx(want, rel=1e-12, abs=0)
@@ -345,7 +351,7 @@ def test_uncertainty_uses_the_slope_floor():
     # spherical steps from -4/3 under |l| = 40.001 fall below log(80/3)
     seq, window, anchor, tol = Constant(40.001), (1, 3), -4 / 3, 1e-6
     s_min = min(
-        leaf_log_derivs(seq, 0, n, anchor, "spherical")[1].leaf_log_min / n
+        leaf_log_derivs(seq, 0, n, anchor, "spherical").min() / n
         for n in range(window[0], window[1] + 1)
     )
     assert s_min < math.log(80 / 3)

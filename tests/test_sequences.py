@@ -212,7 +212,13 @@ def test_parse_format_roundtrip(text):
 
 
 def test_parse_errors():
-    for bad in ["const", "fourier:50", "random:seed=1,min=10,max=20", "const:abc"]:
+    for bad in [
+        "const", "fourier:50", "random:seed=1,min=10,max=20", "const:abc",
+        # a random spec without its seed, and unknown or repeated keys
+        "random:min=45", "perturb:base=random:min=45;x=0.1", "random:seed=1,mx=60",
+        "random:seed=1,seed=2", "explicit:41;tail=50,foo=1", "explicit:41;tail=50,tail=60",
+        "perturb:base=const:50;x=0.1;x=0.2", "perturb:foo=1;base=const:50",
+    ]:
         with pytest.raises((ValueError, InvalidSpec)):
             parse_sequence(bad)
 

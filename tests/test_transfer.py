@@ -12,13 +12,12 @@ from fiberdim import (
     at,
     change_of_variables_check,
     conformal_atoms,
-    iter_leaf_blocks,
     leaf_log_derivs,
-    logsumexp,
     operator_power,
     rho_estimate,
     word_of,
 )
+from fiberdim.orbits import fiber_table
 from oracles import brute_leaves, brute_operator_sum
 
 CONST50 = Constant(50)
@@ -64,22 +63,11 @@ def test_monotone_convex_in_t():
 
 def test_operator_value_bracket():
     n = 10
-    lds, stats = leaf_log_derivs(MIXED, 0, n)
+    lds = leaf_log_derivs(MIXED, 0, n)  # the half holds every leaf value
     for t in (0.25, 0.75):
         value = operator_power(MIXED, 0, n, [t])[0].log_value
-        assert n * math.log(2) - t * stats.leaf_log_max - 1e-12 <= value
-        assert value <= n * math.log(2) - t * stats.leaf_log_min + 1e-12
-
-
-def test_half_tree_logsumexp_is_bit_identical():
-    # numpy's pairwise sum splits a 2^k array (k >= 8) exactly at its half, and
-    # doubling is exact, so the half counted twice gives the full-tree bits
-    for seq in (CONST50, MIXED):
-        for n in (8, 11):
-            [(_, _, full)] = iter_leaf_blocks(seq, 0, n)
-            half, _ = leaf_log_derivs(seq, 0, n)
-            for t in (0.0, 0.17, 0.4, 1.3):
-                assert logsumexp(half * -t, 2) == logsumexp(full * -t)
+        assert n * math.log(2) - t * lds.max() - 1e-12 <= value
+        assert value <= n * math.log(2) - t * lds.min() + 1e-12
 
 
 def test_rho_estimate_exact_at_zero():
@@ -92,12 +80,12 @@ def test_rho_estimate_brackets():
     # closed-form disk bounds: |f'| = |l z| with |z| in [2/3, 4/3] on the disks
     est = rho_estimate(CONST50, 0, 1.0, 12)
     assert 2 / (200 / 3) <= est.value <= 2 / (100 / 3)
-    # measured one-step extremes give a sharper bracket
-    _, stats = leaf_log_derivs(CONST50, 0, 12)
+    # measured one-step extremes, read from the fiber point table, give a sharper bracket
+    table = fiber_table(CONST50, 0, (12, 12))
     for t in (0.5, 1.0):
         est = rho_estimate(CONST50, 0, t, 12)
-        assert 2 * math.exp(-t * stats.step_log_max) * (1 - 1e-9) <= est.value
-        assert est.value <= 2 * math.exp(-t * stats.step_log_min) * (1 + 1e-9)
+        assert 2 * math.exp(-t * table.step_log_max) * (1 - 1e-9) <= est.value
+        assert est.value <= 2 * math.exp(-t * table.step_log_min) * (1 + 1e-9)
 
 
 def test_rho_requires_two_levels():
