@@ -5,10 +5,8 @@ zeros, optional box-count cross-check), perturb (kink or gap scan CSV),
 motion (speed check), verify (invariant suite).  Exit codes: 0 success, 1
 invariant failure, 2 usage error (also an output path that cannot be opened).
 
-All floats are printed with 17 significant digits and jobs are aggregated in
-grid order, so outputs are byte-identical for any --workers value.  A
-`--config path` file of key=value lines supplies defaults; explicit flags
-override it.
+All floats are printed with 17 significant digits.  A `--config path` file of
+key=value lines supplies defaults; explicit flags override it.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 # one BLAS thread: the only LAPACK call is a 2-column polyfit, and a second thread spins at start-up
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -42,7 +40,6 @@ from .experiments import (
     write_kink_csv,
 )
 from .orbits import check_depth, distinct_points, julia_cloud, resolution_bound, write_cloud_csv
-from .parallel import available_workers
 from .pressure import dimension_pair, pressure_curve, write_pressure_csv, write_roots_csv
 from .sequences import parse_complex, parse_schedule, parse_sequence
 
@@ -127,13 +124,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fiberdim", description=__doc__, epilog=GRAMMAR,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    # pressure and perturb keep --workers so that existing command lines still parse
+    workers_help = "accepted and ignored: every run uses one process"
 
-    def common(p, seq_flag="--seq", workers_help=None, anchor=True):
+    def common(p, seq_flag="--seq", anchor=True):
         p.add_argument(seq_flag, required=True, help="sequence spec string")
         if anchor:
             p.add_argument("--anchor", type=parse_complex, default=1 + 0j)
-        if workers_help:
-            p.add_argument("--workers", type=int, default=available_workers(), help=workers_help)
         p.add_argument("--out", "-o", default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", help="key=value defaults file (flags override)")
 
@@ -143,7 +140,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
 
     p = sub.add_parser("pressure", help="finite-depth pressure matrix a_n(t) as CSV")
-    common(p, workers_help="accepted and ignored: pressure runs in one process")
+    common(p)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--t", type=_grid, default="0:0.4:21")
     p.add_argument("--n", type=_int_pair, default="4:20")
     p.add_argument("--window", type=_int_pair, default=None)
@@ -159,7 +157,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--box-out", default=None, help="optional eps,count CSV path")
 
     p = sub.add_parser("perturb", help="kink or gap scan over a symmetric x grid")
-    common(p, "--base", workers_help="processes for the cells of the scan")
+    common(p, "--base")
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--blocks", default="2x2", help="sign schedule AxB")
     p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
     p.add_argument("--x", type=_grid, default="-0.1:0.1:5")
@@ -225,6 +224,8 @@ def _box_report(seq, depth, anchor):
 
 
 def _cmd_dimension(args) -> int:
+    if args.box_out and not args.box_check:
+        raise ValueError("--box-out needs --box-check")
     seq = parse_sequence(args.seq)
     if args.box_check:  # a bad --box-depth is rejected before any work
         check_depth(args.box_depth)
@@ -236,7 +237,11 @@ def _cmd_dimension(args) -> int:
     # a clean heap: counted first, the count's freed arrays made peak RSS flip
     # by ~4 MiB with the heap layout, down to the length of the checkout path.
     report = _box_report(seq, args.box_depth, args.anchor) if args.box_check else None
-    with _open_out(args.out) as (csv_out, info):
+    # --box-out is opened first, so a path that cannot be opened leaves no roots CSV
+    box_file = nullcontext()
+    if args.box_out:
+        box_file = open(args.box_out, "w", encoding="utf-8", newline="\n")
+    with box_file as box_out, _open_out(args.out) as (csv_out, info):
         write_roots_csv([lower, upper], csv_out)
         print(
             f"dimension: h_lower {lower.t_star:.17g} (+-{lower.uncertainty:.3g}), "
@@ -250,9 +255,8 @@ def _cmd_dimension(args) -> int:
                 f"(|diff| = {agreement:.6g}, fit residual {report.residual:.3g})",
                 file=info,
             )
-            if args.box_out:
-                with open(args.box_out, "w", encoding="utf-8", newline="\n") as handle:
-                    write_boxcount_csv(report, handle)
+            if box_out is not None:
+                write_boxcount_csv(report, box_out)
     return 0
 
 
@@ -260,16 +264,10 @@ def _cmd_perturb(args) -> int:
     base = parse_sequence(args.base)
     schedule = parse_schedule(args.blocks, args.sign)
     if args.mode == "kink":
-        scan = kink_scan(
-            base, schedule, args.t, args.x, args.window,
-            anchor=args.anchor, workers=args.workers,
-        )
+        scan = kink_scan(base, schedule, args.t, args.x, args.window, anchor=args.anchor)
         writer = write_kink_csv
     else:
-        scan = gap_scan(
-            base, schedule, args.x, args.window, args.tol,
-            anchor=args.anchor, workers=args.workers,
-        )
+        scan = gap_scan(base, schedule, args.x, args.window, args.tol, anchor=args.anchor)
         writer = write_gap_csv
     with _open_out(args.out) as (csv_out, info):
         writer(scan, csv_out)

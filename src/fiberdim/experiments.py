@@ -229,7 +229,7 @@ def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
 
 
 def _kink_cell(args):
-    """a_n(t) for every n in the window, reduced serially inside one job."""
+    """a_n(t) for every n in the window, from one fiber point table."""
     seq, t, window, anchor, j = args
     sums = fiber_table(seq, j, window, anchor).log_sums([t])[:, 0]
     return sums / np.arange(window[0], window[1] + 1)
@@ -243,7 +243,6 @@ def kink_scan(
     window: tuple[int, int],
     anchor: complex = 1.0 + 0.0j,
     j: int = 0,
-    workers: int = 1,
 ) -> KinkScan:
     """Windowed pressure envelopes across x, with the certified decomposition.
 
@@ -259,7 +258,7 @@ def kink_scan(
 
     seqs = [base] + [PerturbedSequence(base, schedule, float(x)) for x in grid]
     jobs = [(seq, float(t), (w_lo, w_hi), anchor, j) for seq in seqs]
-    a_base, *results = run_jobs(_kink_cell, jobs, workers)
+    a_base, *results = run_jobs(_kink_cell, jobs)
     base_lower, base_upper = float(a_base.min()), float(a_base.max())
     offset = cesaro_sum(schedule, j)[0] if j else 0
     ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in n_values])
@@ -351,7 +350,6 @@ def gap_scan(
     tol: float = 1e-4,
     anchor: complex = 1.0 + 0.0j,
     j: int = 0,
-    workers: int = 1,
 ) -> GapScan:
     """Dimension pairs across x plus the predicted growth envelopes."""
     grid = _check_symmetric(x_grid)
@@ -360,7 +358,7 @@ def gap_scan(
     table = fiber_table(base, j, (w[1], w[1]), anchor, PLANAR)  # no anchor copies
 
     jobs = [(base, schedule, float(x), w, float(tol), anchor, j) for x in grid]
-    results = run_jobs(_gap_cell, jobs, workers)
+    results = run_jobs(_gap_cell, jobs)
 
     rows = []
     for x, (h_lo, h_up) in zip(grid, results):

@@ -5,8 +5,8 @@ prefix with constant tail, and a seeded random annulus draw), together with a
 sign schedule s_k in {-1, +1} organised in geometrically growing blocks and the
 multiplicative perturbation l_k(x) = exp(x * s_k) * eta_k.
 
-Every generator is a pure function of (spec, k): no sequential state, so specs
-can be shared freely between concurrent workers.
+Every generator is a pure function of (spec, k): no sequential state, so a
+spec can be evaluated at any index in any order.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ verify run is reproducible.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -26,7 +25,7 @@ from .orbits import (
     resolution_bound,
     roundtrip_check,
 )
-from .experiments import kink_scan, motion_speed_check, sandwich_check, write_kink_csv
+from .experiments import motion_speed_check, sandwich_check
 from .pressure import WindowPressure, dimension_pair, pressure_curve
 from .sequences import (
     PerturbedSequence,
@@ -305,22 +304,6 @@ def check_transfer_change_of_variables(seq: SequenceSpec, depth: int) -> CheckRe
     )
 
 
-def check_transfer_parallel(seq: SequenceSpec, depth: int) -> CheckResult:
-    # a kink scan fans its cells out through run_jobs, so 2 workers start a real pool
-    base, schedule, x = _perturbation_setup(seq)
-    outputs = []
-    for workers in (1, 2):
-        scan = kink_scan(base, schedule, 0.18, (-x, 0.0, x), (2, min(depth, 10)), workers=workers)
-        buf = io.StringIO()
-        write_kink_csv(scan, buf)
-        outputs.append(buf.getvalue())
-    return _result(
-        "transfer.parallel_determinism",
-        outputs[0] == outputs[1],
-        "kink CSV of the base and 3 x cells byte-identical for 1 and 2 workers",
-    )
-
-
 # --------------------------------------------------------------- pressure
 
 
@@ -447,7 +430,6 @@ def run_all(
         ("transfer.rho_bounds", lambda: check_transfer_rho(seq, depth)),
         ("transfer.atom_normalization", lambda: check_transfer_atoms(seq, depth)),
         ("transfer.change_of_variables", lambda: check_transfer_change_of_variables(seq, depth)),
-        ("transfer.parallel_determinism", lambda: check_transfer_parallel(seq, depth)),
         ("pressure.zero_column", lambda: check_pressure_zero_column(seq, depth)),
         ("pressure.slope_bracket", lambda: check_pressure_slope_bracket(seq, depth)),
         ("pressure.shape", lambda: check_pressure_shape(seq, depth)),

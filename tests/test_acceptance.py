@@ -206,8 +206,8 @@ def test_c09_spread_certificate_and_gap_growth():
 
 def test_c10_byte_identical_across_workers(tmp_path, monkeypatch):
     # The pressure and kink sums and the gap scan's Bowen zeros come from fiber
-    # point tables, which do not depend on the block size; the kink and gap
-    # cells fan out over the workers.  2^4-leaf blocks change no table.
+    # point tables, which do not depend on the block size, and every run uses
+    # one process: --workers must stay a no-op.  2^4-leaf blocks change no table.
     for block_log2, worker_counts in ((18, (1, 2, 8)), (4, (1, 2, 3))):
         monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
         outputs = []

@@ -49,6 +49,7 @@ def test_pressure_deterministic_across_workers(tmp_path, monkeypatch):
 
 
 def test_perturb_deterministic_across_workers(tmp_path):
+    # the scan's cells run in order in one process, so --workers changes nothing
     blobs = []
     for workers in (1, 2, 8):
         out = tmp_path / f"k{workers}.csv"
@@ -119,7 +120,7 @@ def test_verify_small(capsys):
         assert run(["verify", *args]) == 0, args
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
-        assert "verify: 26/26 checks passed" in out
+        assert "verify: 25/25 checks passed" in out
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -163,34 +164,37 @@ def test_usage_errors(tmp_path, capsys):
         ["verify", "--seq", "const:50", "--tol", "nan"],
         # a tol below the float resolution of a_n, found while refining a Bowen zero
         ["verify", "--seq", "const:50", "--depth", "8", "--tol", "1e-20"],
-        # --workers exists only on perturb, which fans jobs out, and on pressure,
-        # which ignores it
+        # --workers exists only on pressure and perturb, which ignore it
         ["julia", "--seq", "const:50", "--depth", "2", "--workers", "2"],
         ["dimension", "--seq", "const:50", "--window", "4:6", "--workers", "2"],
         ["motion", "--base", "const:50", "--depth", "4", "--workers", "2"],
         ["verify", "--seq", "const:50", "--depth", "8", "--workers", "2"],
         # --anchor exists only where it is read (every subcommand but verify)
         ["verify", "--seq", "const:50", "--depth", "8", "--anchor=-1.05+0.1i"],
-        # output paths that cannot be opened (--box-out is opened after -o is written)
+        # output paths that cannot be opened (--box-out is opened before -o)
         ["dimension", "--seq", "const:50", "--window", "3:4",
          "-o", str(tmp_path / "no" / "x.csv")],
         ["dimension", "--seq", "const:50", "--window", "3:4", "--box-check", "--box-depth", "12",
-         "--box-out", str(tmp_path / "no" / "x.csv"), "-o", str(tmp_path / "written.csv")],
+         "--box-out", str(tmp_path / "no" / "x.csv"), "-o", str(tmp_path / "unwritten.csv")],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err
-    # rejected without output: a box depth under 1000 points or above the cap, and a
-    # tol below the float resolution of a_n (rejected before the first step)
+    assert not (tmp_path / "unwritten.csv").exists()  # no roots CSV before the box CSV opens
+    # rejected without output: a box depth under 1000 points or above the cap, a
+    # tol below the float resolution of a_n (rejected before the first step), and
+    # --box-out without --box-check
     out = tmp_path / "roots.csv"
+    box = tmp_path / "box.csv"
     for args in (
         ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "9"],
         ["dimension", "--seq", "const:50", "--window", "6:8", "--box-check", "--box-depth", "30"],
         ["dimension", "--seq", "const:50", "--window", "4:6", "--tol", "1e-20"],
+        ["dimension", "--seq", "const:50", "--window", "4:6", "--box-out", str(box)],
     ):
         assert run([*args, "-o", str(out)]) == 2, args
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == "", args
-        assert not out.exists(), args
+        assert not out.exists() and not box.exists(), args
 
 
 def test_box_depth_rejected_before_the_roots(monkeypatch, capsys):

@@ -5,7 +5,8 @@ binds some of their arguments by name, so a rename or deletion of any of
 them makes every traced run fail while untraced runs still pass.  This runs
 one small traced command per benchmark workload the way the benchmark does:
 the `dimension` box check binds `box_dimension`'s `points` and `offsets`,
-and the two-worker `perturb` scan sends its cells through a real pool.
+and the `perturb` scan, given `--workers 2` as the benchmark gives it, runs
+its cells through the wrapped `parallel.run_jobs`.
 """
 
 import json

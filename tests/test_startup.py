@@ -43,8 +43,10 @@ def test_import_fiberdim_loads_no_submodule_and_no_numpy():
 
 def test_import_cli_compiles_no_verify_suite():
     code = "import sys, fiberdim.cli; print([m in sys.modules for m in "
-    code += "('fiberdim.verification', 'fiberdim.transfer', 'fiberdim.experiments')])"
-    assert _python(code) == "[False, False, True]"  # perturb keeps experiments eager
+    code += "('fiberdim.verification', 'fiberdim.transfer', 'fiberdim.experiments', "
+    code += "'multiprocessing')])"
+    # perturb keeps experiments eager; no subcommand starts a process pool
+    assert _python(code) == "[False, False, True, False]"
 
 
 def test_cli_sets_one_blas_thread_unless_preset():
@@ -105,15 +107,18 @@ def test_import_sequences_loads_no_numpy():
         ["pressure", "--seq", "random:seed=7,min=45,max=80", "--t", "0:0.4:3", "--n", "4:8"],
         ["perturb", "--base", "random:seed=7,min=45,max=80", "--x=-0.05:0.05:3", "--t", "0.18",
          "--window", "2:6", "--workers", "1"],
+        ["perturb", "--base", "random:seed=7,min=45,max=80", "--x=-0.05:0.05:3", "--t", "0.18",
+         "--window", "2:6", "--workers", "2"],
     ],
-    ids=["pressure", "perturb"],
+    ids=["pressure", "perturb", "perturb-workers-2"],
 )
 def test_random_spec_runs_never_load_numpy_random(args, tmp_path):
     # random: draws come from the pure-Python Philox in sequences; numpy.random
-    # loads only for the box count's offsets and verify
+    # loads only for the box count's offsets and verify.  No run loads
+    # multiprocessing, whatever --workers says.
     code = (
         "import sys; from fiberdim import cli; "
         f"code = cli.main({[*args, '-o', str(tmp_path / 'out.csv')]!r}); "
-        "print(code, 'numpy.random' in sys.modules)"
+        "print(code, 'numpy.random' in sys.modules, 'multiprocessing' in sys.modules)"
     )
-    assert _python(code).splitlines()[-1] == "0 False"
+    assert _python(code).splitlines()[-1] == "0 False False"
