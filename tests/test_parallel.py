@@ -1,68 +1,52 @@
 import multiprocessing
 import os
-import subprocess
-import sys
-from pathlib import Path
 
-from fiberdim import Constant, cli, parallel, verification
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-# Runs in a fresh interpreter whose default start method is spawn.  os.fork is
-# disabled first, so a pool that still forked would fail instead of passing.
-SPAWN_SCRIPT = """
-import multiprocessing, os
-from fiberdim import SignSchedule, kink_scan
+from fiberdim import SignSchedule, cli, experiments, parallel
 from fiberdim.sequences import parse_sequence
 
-def no_fork():
-    raise RuntimeError("os.fork called")
-
-multiprocessing.set_start_method("spawn")
-os.fork = no_fork
-seq = parse_sequence("periodic:50,60+10i")
-for anchor in (1.0, -1.05 + 0.1j):
-    serial, pooled = (
-        kink_scan(seq, SignSchedule(2, 2), 0.18, (-0.05, 0.0, 0.05), (2, 9), anchor=anchor,
-                  workers=workers)
-        for workers in (1, 2)
-    )
-    assert serial == pooled, anchor
-print("ok")
-"""
+SEQ = parse_sequence("periodic:50,60+10i")
+SCHEDULE = SignSchedule(2, 2)
+X_GRID = (-0.05, 0.0, 0.05)
 
 
-def test_spawn_start_method_matches_serial():
-    done = subprocess.run(
-        [sys.executable, "-c", SPAWN_SCRIPT],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "ok"
+def _no_process(*args, **kwargs):
+    raise RuntimeError("a scan started a process")
 
 
-def test_verify_determinism_check_starts_a_pool(monkeypatch):
-    # the check compares a pooled run with a serial one, not two serial runs
-    pools = []
-    real_pool = multiprocessing.Pool
-
-    def counting_pool(*args, **kwargs):
-        pools.append(kwargs["processes"])
-        return real_pool(*args, **kwargs)
-
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
-    result = verification.check_transfer_parallel(Constant(50), 8)
-    assert result.passed and pools == [2]
+def test_run_jobs_runs_every_job_in_order_in_this_process():
+    # workers is accepted for the old call shape and changes nothing
+    jobs = [(k,) for k in range(5)]
+    for workers in (1, 2, 8):
+        out = parallel.run_jobs(lambda args: (args[0] ** 2, os.getpid()), jobs, workers)
+        assert out == [(k * k, os.getpid()) for k in range(5)], workers
 
 
-def test_available_workers_counts_the_affinity_mask(monkeypatch):
-    # an affinity-limited process gets one default perturb worker, not one per host CPU
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def test_scans_start_no_process(monkeypatch):
+    # scans computed with fork and pools disabled match scans whose cells run
+    # last-to-first, so every cell stands alone and none leaves this process
+    def reversed_jobs(fn, args_list, workers=1):
+        return [fn(args) for args in reversed(args_list)][::-1]
+
+    runs = []
+    for runner in (parallel.run_jobs, reversed_jobs):
+        with monkeypatch.context() as m:
+            m.setattr(experiments, "run_jobs", runner)
+            m.setattr(os, "fork", _no_process, raising=False)
+            m.setattr(multiprocessing, "Pool", _no_process)
+            runs.append(
+                [
+                    experiments.kink_scan(SEQ, SCHEDULE, 0.18, X_GRID, (2, 9), anchor=anchor)
+                    for anchor in (1.0, -1.05 + 0.1j)
+                ]
+                + [experiments.gap_scan(SEQ, SCHEDULE, X_GRID, (6, 8))]
+            )
+    assert runs[0] == runs[1]
+
+
+def test_workers_default_is_one_whatever_the_cpu_count(monkeypatch):
+    # --workers is accepted and ignored; its default no longer follows the host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert parallel.available_workers() == 1
-    assert cli._build_parser().parse_args(["perturb", "--base", "const:50"]).workers == 1
-    monkeypatch.delattr(os, "sched_getaffinity")  # platforms without it
-    assert parallel.available_workers() == 8
+    parser = cli._build_parser()
+    assert parser.parse_args(["perturb", "--base", "const:50"]).workers == 1
+    assert parser.parse_args(["pressure", "--seq", "const:50"]).workers == 1
