@@ -63,7 +63,6 @@ _EXPORTS = {
         "leaf_log_derivs",
         "resolution_bound",
         "roundtrip_check",
-        "word_of",
         "write_cloud_csv",
     ),
     "pressure": (

@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
 
 # one BLAS thread: the only LAPACK call is a 2-column polyfit, and a second thread spins at start-up
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -237,11 +237,17 @@ def _cmd_dimension(args) -> int:
     # a clean heap: counted first, the count's freed arrays made peak RSS flip
     # by ~4 MiB with the heap layout, down to the length of the checkout path.
     report = _box_report(seq, args.box_depth, args.anchor) if args.box_check else None
-    # --box-out is opened first, so a path that cannot be opened leaves no roots CSV
-    box_file = nullcontext()
-    if args.box_out:
-        box_file = open(args.box_out, "w", encoding="utf-8", newline="\n")
-    with box_file as box_out, _open_out(args.out) as (csv_out, info):
+    # --box-out is opened first, so that a bad path leaves no roots CSV, and removed if -o fails
+    with ExitStack() as files:
+        box_out = None
+        if args.box_out:
+            box_out = files.enter_context(open(args.box_out, "w", encoding="utf-8", newline="\n"))
+        try:
+            csv_out, info = files.enter_context(_open_out(args.out))
+        except OSError:
+            if box_out is not None and os.path.isfile(args.box_out):  # not a device
+                os.remove(args.box_out)
+            raise
         write_roots_csv([lower, upper], csv_out)
         print(
             f"dimension: h_lower {lower.t_star:.17g} (+-{lower.uncertainty:.3g}), "

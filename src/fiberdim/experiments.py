@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SandwichViolation
-from .orbits import PLANAR, fiber_table, iter_leaf_blocks, leaf_log_derivs, word_of
+from .orbits import PLANAR, fiber_table, paired_table
 from .parallel import run_jobs
 from .pressure import dimension_pair
 from .sequences import (
@@ -80,32 +80,33 @@ def sandwich_check(
     Verifies, for every n <= n_max, the operator-level inequality above and
     the leaf-level form |log_deriv_pert - log_deriv_base - x S_n| <= n|x|/2
     over all leaves: a_n from the fiber point tables (_kink_cell), the
-    leaves from the leaf_log_derivs halves of both depth-n trees at every n
-    (by the first-bit identity a half holds every leaf log-derivative).  A
-    violation beyond float slack is a bug: SandwichViolation names the worst
-    leaf of the first failing depth.
+    leaves from the least and the largest same-word difference
+    Δ = log_deriv_pert - log_deriv_base of each depth, read from the paired
+    table of both trees.  A violation beyond float slack is a bug:
+    SandwichViolation names the worst leaf of the first failing depth.
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("sandwich_check requires a finite t > 0")
     pert = PerturbedSequence(base, schedule, x)
     a_base, a_pert = (_kink_cell((seq, t, (1, n_max), anchor, j)).tolist() for seq in (base, pert))
+    low, high, _ = paired_table(base, pert, j, (1, n_max), anchor)  # over Δ and -Δ
     # signs entering fiber j are s_{j+1}, ..., s_{j+n}
     offset = cesaro_sum(schedule, j)[0] if j else 0
     rows = []
     leaf_slack_max = -math.inf
     for n in range(1, n_max + 1):
-        lds_base, lds_pert = (leaf_log_derivs(seq, j, n, anchor) for seq in (base, pert))
         s_n = cesaro_sum(schedule, j + n)[0] - offset
         residual = abs(a_pert[n - 1] - (a_base[n - 1] - t * x * s_n / n)) - t * abs(x) / 2.0
         rows.append(SandwichRow(n, s_n, a_base[n - 1], a_pert[n - 1], residual))
 
-        leaf_gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2.0
-        k = int(np.argmax(leaf_gap))
-        slack = float(leaf_gap[k])
+        above = float(low.leaf_log_max[n - 1]) - x * s_n
+        below = x * s_n - float(low.leaf_log_min[n - 1])
+        slack = max(above, below) - n * abs(x) / 2.0
         leaf_slack_max = max(leaf_slack_max, slack)
         if residual > _FLOAT_SLACK or slack > _FLOAT_SLACK:
+            word = (high if above >= below else low).least_word(n)
             raise SandwichViolation(
-                n, word_of(k, n), f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
+                n, word, f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
             )
     return PerturbationReport(
         base_id=format_sequence(base),
@@ -152,27 +153,13 @@ def motion_speed_check(
     anchor: complex = 1.0 + 0.0j,
     j: int = 0,
 ) -> MotionReport:
-    """Maxima over all same-word leaf pairs of displacement and modulus ratio."""
-    pert = PerturbedSequence(base, schedule, x)
+    """Maxima of displacement and log modulus ratio over the same-word leaf pairs of both trees."""
     d = delta(x)
-    max_disp = 0.0
-    max_ratio = 0.0
-    blocks_base = iter_leaf_blocks(base, j, depth, anchor)
-    blocks_pert = iter_leaf_blocks(pert, j, depth, anchor)
-    for (_, pts_b, _), (_, pts_p, _) in zip(blocks_base, blocks_pert):
-        max_disp = max(max_disp, float(np.abs(pts_p - pts_b).max()))
-        if x != 0.0:
-            ratios = np.abs(np.log(np.abs(pts_p) / np.abs(pts_b)))
-            max_ratio = max(max_ratio, float(ratios.max()))
-    return MotionReport(
-        x=float(x),
-        depth=depth,
-        delta=d,
-        max_displacement=max_disp,
-        displacement_bound=d / 9.0,
-        max_log_ratio=max_ratio,
-        log_ratio_bound=d / 6.0,
-    )
+    pert = PerturbedSequence(base, schedule, x)
+    pts_b, pts_p = paired_table(base, pert, j, (depth, depth), anchor)[2]  # negatives alike
+    disp = float(np.abs(pts_p - pts_b).max())
+    ratio = float(np.abs(np.log(np.abs(pts_p) / np.abs(pts_b))).max())
+    return MotionReport(float(x), depth, d, disp, d / 9.0, ratio, d / 6.0)
 
 
 # ---------------------------------------------------------------------------

@@ -106,12 +106,24 @@ and a level holds about one point per such word, 2^12, plus the shallow
 subtrees of the anchor copies (at most 4,905 points measured; the tests
 hold every level under 2^13).
 
+Paired tables (paired_table): the perturbation certificates compare the
+same-word leaves of a base and a perturbed tree.  The build above runs on
+their stack: P_k holds pairs (p_base, p_pert) of one word, each level takes
+both members' step logs and roots, two pairs share a cell when both members
+do (a lexsort), and the sweep runs on Δ = s_pert - s_base, so L_n and H_n
+are the least and largest leaf Δ of depth n.  A member's leaf moves by less
+than 0.03 n q under the merges, so a leaf Δ moves by less than 0.06 n q,
+about 2e-17 at n = 26.  least_word walks down the children the sweep kept
+as least, ties to branch 0; a second sweep over -Δ names the largest leaf.
+Level 0, the roots of P_1 without anchor copies, holds every leaf pair up to
+a common sign.  No paired level has been seen over 3,451 pairs.
+
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
 is log|l r| = (log|l| + log|l + 2p - 2|) / 2 and the spherical one adds
 log1p(|l + 2p - 2| / |l|) - log1p(|p|^2).  Every step log is computed from
-the parents this way, so a level that needs only log-derivatives (the last
-one of leaf_log_derivs) takes no square root.
+the parents this way, so a level that needs only log-derivatives (level 1 of
+the tables) takes no square root.
 
 The root itself uses the csqrt formula of glibc and msun for Re w > 0,
 r = sqrt((hypot(Re w, Im w) + Re w)/2) + i (Im w / r)/2, which skips the
@@ -124,8 +136,8 @@ takes this path for Re w > 0 (checked by the tests on trapped radicands).
 First-bit identity: the leaves 0w and 1w are -r and r for one parent, and
 every step log depends on |r| (and |r|^2) only, so their log-derivatives are
 bit-identical.  Sums over a tree's log-derivatives therefore need only the
-half whose words start with 0 (leaf_log_derivs), counted twice; the points
-themselves differ and are still traversed in full.
+half whose words start with 0, counted twice, and level 1 of a table keeps
+one step log per point; the points themselves differ.
 """
 
 from __future__ import annotations
@@ -133,6 +145,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Iterator
 
 import numpy as np
@@ -331,29 +344,17 @@ def leaf_log_derivs(
 
     By the first-bit identity each value stands for two leaves, so their
     extremes are those of the full depth-n tree; n = 0 returns [0], the
-    anchor, which stands for one.  The half is the depth-(n-1) tree at fiber
-    j+1 plus one branch-0 step with l_{j+1}, the same arithmetic as the full
-    traversal, whose step log is taken once per run.  The half fills one new
-    array; the traversal beside it streams _iter_runs' prefix blocks, so its
-    arrays hold at most 2**_BLOCK_LOG2 points each at any depth.
+    anchor, which stands for one.  They are the first half of iter_leaf_blocks'.
     """
-    _validate(n, anchor)
-    if n == 0:
-        return np.zeros(1)
-    l = at(seq, j + 1)
-    out = np.empty(1 << (n - 1))
-    for start, pts, counts, lds in _iter_runs(seq, j + 1, n - 1, anchor, metric):
-        steps = _step_logs(l, pts, metric)
-        if counts is not None:
-            steps = np.repeat(steps, counts)
-        np.add(lds, steps, out=out[start : start + lds.size])
-    return out
+    half = 1 << max(n - 1, 0)
+    blocks = takewhile(lambda block: block[0] < half, iter_leaf_blocks(seq, j, n, anchor, metric))
+    return np.concatenate([lds for _, _, lds in blocks])[:half]
 
 
 def _grid_key(pts):
     """Re + i (round(Im / q) q + 0.0), the grid key of the fiber point tables (module docstring)."""
     key = pts.copy()
-    im = key.imag  # a view: the rounding is written into key
+    im = key.reshape(-1).imag  # a 1-D view: the rounding is written into key
     im *= 1.0 / _GRID  # exact, as is the scaling back: q is a power of two
     np.rint(im, out=im)
     im *= _GRID
@@ -361,21 +362,27 @@ def _grid_key(pts):
     return key
 
 
-def _level_below(l, pts, grid=False):
-    """The level below pts under f_l, [U, -U], and each root's index in U.
+def _level_below(ls, pts, grid=False):
+    """The level below the stack pts under the maps ls, [U, -U], and each column's index in U.
 
-    U holds one branch-0 root of pts per group of bit-identical roots, or
-    with grid per cell of the grid key, which are taken in place.  Each group
-    keeps its first root in stable key order, unrounded.
+    pts holds one row per tree.  U holds one column of branch-0 roots per group of
+    bit-identical columns, or with grid per cell of the grid key on every row, taken
+    in place.  Each group keeps its first column in stable key order, unrounded.
     """
-    _branch0_root(l, pts)
+    for l, row in zip(ls, pts):
+        _branch0_root(l, row)
     key = _grid_key(pts) if grid else pts
-    order = np.argsort(key, kind="stable")
-    bits = key[order].view(np.uint64)
+    if len(key) == 1:  # one tree: a 1-D sort, cheaper than lexsort
+        order = np.argsort(key[0], kind="stable")
+        bits = key[0][order].view(np.uint64)  # re, im, re, im, ...
+    else:  # by Re, then Im, of each row in turn; a column's words in a row
+        order = np.lexsort([part for row in key[::-1] for part in (row.imag, row.real)])
+        bits = key.T[order].view(np.uint64).ravel()
     del key
-    first = np.empty(pts.size, bool)  # of a group of equal keys
+    words = 2 * len(pts)  # per column: one uint16 (a pair: uint32) per neighbour pair
+    first = np.empty(len(order), bool)  # of a group of equal keys
     first[0] = True
-    first[1:] = (bits[2:] != bits[:-2]).view(np.uint16)
+    first[1:] = (bits[words:] != bits[:-words]).view(f"u{words}")  # nonzero where one differs
     del bits
     rank = np.cumsum(first, dtype=np.int32)
     rank -= 1
@@ -384,9 +391,9 @@ def _level_below(l, pts, grid=False):
     half = int(rank[-1]) + 1
     order = order[first]
     del first, rank  # freed before the level, the walk's memory peak, is built
-    level = np.empty(2 * half, np.complex128)  # branch-0 roots have Re > 0.88: no overlap
-    np.take(pts, order, out=level[:half], mode="clip")  # unbuffered
-    np.negative(level[:half], out=level[half:])
+    level = np.empty((len(pts), 2 * half), np.complex128)  # branch-0 roots have Re > 0.88
+    np.take(pts, order, axis=1, out=level[:, :half], mode="clip")  # unbuffered
+    np.negative(level[:, :half], out=level[:, half:])
     return level, index
 
 
@@ -450,26 +457,41 @@ class FiberTable:
         weights, excess = (np.array(v[self._n_lo - 1 :]) for v in zip(*at_anchor))
         return self.leaf_log_min * -t + np.log(weights), -(self.leaf_log_min + excess)
 
+    def least_word(self, n: int) -> str:
+        """The word of a depth-n leaf of sum L_n: the sweep's least children, ties to branch 0."""
+        word, index = "", self._plan[n - 2][3] if n > 1 else 0
+        for c_min, c_max, _, _ in reversed(self._plan[: n - 1]):  # P_n down to P_2
+            word = "01"[int(c_min[index] > c_max[index])] + word  # c1 = c0 + |U| is branch 1
+            index = c_min[index]
+        return "0" + word  # the two leaves below P_1 tie (first-bit identity)
 
-def _fiber_table(seq, j, n_lo, n_hi, anchor, metric):
-    """The build of the fiber point table (module docstring).
 
-    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor
-    in P_k), the step logs of level 1 and the anchor's index in P_1.  Below
-    level n_lo the anchor is not kept, and the index is that of another point.
+def _fiber_table(seqs, j, n_range, anchor, metric):
+    """The build of the fiber point table of one tree, or of a pair (module docstring).
+
+    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor in P_k),
+    the step logs of level 1 (of a pair: Δ), the anchor's index in P_1 and P_1, one row
+    per tree.  Below level n_lo the anchor is not kept, and the index is another point's.
     """
-    key = np.array([anchor]).tobytes()
-    pts, where, levels = np.array([anchor]), 0, []
-    for k in range(n_hi, 1, -1):  # l_{j+n_hi} first
-        l = at(seq, j + k)
-        steps = _step_logs(l, pts, metric)
-        pts, c0 = _level_below(l, pts, grid=True)
-        levels.append((steps, c0, pts.size // 2, where))
+    n_lo, n_hi = int(n_range[0]), int(n_range[1])
+    if not 1 <= n_lo <= n_hi:
+        raise ValueError("need 1 <= n_min <= n_max")
+    _validate(n_hi, anchor)
+    anchors = np.full((len(seqs), 1), complex(anchor))
+    key, pts, where, levels = anchors.tobytes(), anchors.copy(), 0, []
+    for k in range(n_hi, 0, -1):  # l_{j+n_hi} first
+        ls = [at(seq, j + k) for seq in seqs]
+        steps = _step_logs(ls[-1], pts[-1], metric)
+        if len(seqs) == 2:
+            steps -= _step_logs(ls[0], pts[0], metric)
+        if k == 1:
+            return levels, steps, where, pts
+        pts, c0 = _level_below(ls, pts, grid=True)
+        levels.append((steps, c0, pts.shape[1] // 2, where))
         where = int(c0[where])  # the point of the anchor's branch-0 root
-        if k > n_lo and pts[where : where + 1].tobytes() != key:
-            where = pts.size
-            pts = np.append(pts, anchor)
-    return levels, _step_logs(at(seq, j + 1), pts, metric), where
+        if k > n_lo and pts[:, where].tobytes() != key:
+            where = pts.shape[1]
+            pts = np.concatenate((pts, anchors), axis=1)
 
 
 def fiber_table(
@@ -480,11 +502,24 @@ def fiber_table(
     metric: str = PLANAR,
 ) -> FiberTable:
     """The swept fiber point table of the depths in n_range."""
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not 1 <= n_lo <= n_hi:
-        raise ValueError("need 1 <= n_min <= n_max")
-    _validate(n_hi, anchor)
-    return FiberTable(*_fiber_table(seq, j, n_lo, n_hi, complex(anchor), metric), n_lo)
+    levels, steps_1, where, _ = _fiber_table([seq], j, n_range, anchor, metric)
+    return FiberTable(levels, steps_1, where, int(n_range[0]))
+
+
+def paired_table(base: SequenceSpec, pert: SequenceSpec, j: int, n_range, anchor=1.0 + 0.0j):
+    """The paired table of (base, pert) (module docstring): sweeps over Δ and -Δ, and leaf pairs.
+
+    The depth-n_max leaf pairs up to sign, one row per tree: the roots of P_1, or the anchor at 0.
+    """
+    seqs = (base, pert)
+    if tuple(n_range) == (0, 0):  # no sweeps
+        _validate(0, anchor)
+        return None, None, np.full((2, 1), complex(anchor))
+    levels, steps_1, where, pts = _fiber_table(seqs, j, n_range, anchor, PLANAR)
+    negated, n_lo = [(-steps, *rest) for steps, *rest in levels], int(n_range[0])
+    for seq, row in zip(seqs, pts):
+        _branch0_root(at(seq, j + 1), row)
+    return FiberTable(levels, steps_1, where, n_lo), FiberTable(negated, -steps_1, where, n_lo), pts
 
 
 def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j) -> np.ndarray:
@@ -494,15 +529,10 @@ def distinct_points(seq: SequenceSpec, depth: int, anchor: complex = 1.0 + 0.0j)
     sorted, no log-derivatives and no blocks.
     """
     _validate(depth, anchor)
-    pts = np.array([anchor], dtype=np.complex128)
+    pts = np.array([[anchor]], dtype=np.complex128)
     for k in range(depth, 0, -1):  # l_depth first
-        pts, _ = _level_below(at(seq, k), pts)
-    return pts
-
-
-def word_of(index: int, depth: int) -> str:
-    """Branch word of the leaf at a given word-order index."""
-    return format(index, f"0{depth}b") if depth > 0 else ""
+        pts, _ = _level_below([at(seq, k)], pts)
+    return pts[0]
 
 
 def resolution_bound(seq: SequenceSpec, depth: int, j: int = 0) -> float:
@@ -581,11 +611,11 @@ def roundtrip_check(seq: SequenceSpec, j: int = 0, n: int = 1) -> RoundTripRepor
     so the max over each level's distinct parents is the max over every edge.
     """
     check_depth(n)
-    pts, worst = np.ones(1, np.complex128), 0.0
+    pts, worst = np.ones((1, 1), np.complex128), 0.0
     for k in range(n, 0, -1):  # l_{j+n} first
         l = at(seq, j + k)
         roots = pts.copy()
-        below, _ = _level_below(l, roots)
+        below, _ = _level_below([l], roots)
         worst = max(worst, float(np.abs(apply(l, roots) - pts).max()))
         pts = below
     return RoundTripReport(
@@ -622,8 +652,7 @@ def write_cloud_csv(cloud: JuliaCloud, stream) -> None:
     """Rows `word,re,im,log_deriv` in word order, floats at 17 significant digits.
 
     Rows are formatted in chunks by one str.format over Python floats
-    (tolist), the word being the row index in binary, the same text as
-    word_of and per-value formatting.
+    (tolist), the word being the row index in binary, depth digits of it.
     """
     stream.write("word,re,im,log_deriv\n")
     word = f"{{0:0{cloud.depth}b}}" if cloud.depth > 0 else ""

@@ -21,7 +21,6 @@ from .orbits import (
     fiber_table,
     iter_leaf_blocks,
     julia_cloud,
-    leaf_log_derivs,
     resolution_bound,
     roundtrip_check,
 )
@@ -222,7 +221,7 @@ def check_orbits_separation(seq: SequenceSpec, depth: int) -> CheckResult:
 
 def check_orbits_motion(seq: SequenceSpec, depth: int) -> CheckResult:
     base, schedule, x = _perturbation_setup(seq)
-    report = motion_speed_check(base, schedule, x, min(depth, 16))
+    report = motion_speed_check(base, schedule, x, depth)
     return _result("orbits.motion_bounds", report.passed(), report.summary())
 
 
@@ -253,8 +252,8 @@ def check_transfer_monotone_convex(seq: SequenceSpec, depth: int) -> CheckResult
 
 def check_transfer_bracket(seq: SequenceSpec, depth: int) -> CheckResult:
     n = min(depth, 12)
-    lds = leaf_log_derivs(seq, 0, n)  # first-bit identity: the full tree's extremes
-    leaf_min, leaf_max = float(lds.min()), float(lds.max())
+    table = fiber_table(seq, 0, (n, n))  # the leaf extremes of the depth-n tree
+    leaf_min, leaf_max = float(table.leaf_log_min[0]), float(table.leaf_log_max[0])
     ok = True
     worst = 0.0
     for t in (0.5, 1.0):
@@ -370,7 +369,7 @@ def check_pressure_refinement(seq: SequenceSpec, depth: int, tol: float) -> Chec
 
 def check_experiments_sandwich(seq: SequenceSpec, depth: int) -> CheckResult:
     base, schedule, x = _perturbation_setup(seq)
-    report = sandwich_check(base, schedule, x, t=0.18, n_max=min(depth, 14))
+    report = sandwich_check(base, schedule, x, t=0.18, n_max=depth)
     return _result("experiments.sandwich", True, report.summary())  # a violation raises
 
 

@@ -3,8 +3,11 @@
 Everything here works leaf-by-leaf with scalar cmath, enumerating words
 explicitly and measuring derivatives along the forward orbit, so it shares no
 code path (and no reduction order) with the vectorized implementation.
-The exception is plain_blocks, the level loop from before run-length levels:
-it shares the step kernels of orbits, but takes every level on every leaf.
+The exceptions are plain_blocks, the level loop from before run-length
+levels, which shares the step kernels of orbits but takes every level on
+every leaf, and the two perturbation certificates from before the paired
+table, per_depth_sandwich and zipped_motion, which reduce the leaves of both
+trees straight from the traversal.
 The random annulus draw is checked against numpy's own Philox generator.
 """
 
@@ -14,8 +17,15 @@ from itertools import product
 
 import numpy as np
 
-from fiberdim import at, orbits
+from fiberdim import at, cesaro_sum, iter_leaf_blocks, leaf_log_derivs, orbits
 from fiberdim.family import apply
+from fiberdim.sequences import PerturbedSequence
+from fiberdim.transfer import logsumexp_grid
+
+
+def word(index, depth):
+    """The branch word of the leaf at a word-order index: its depth binary digits."""
+    return format(index, f"0{depth}b") if depth > 0 else ""
 
 
 def forward(l, z):
@@ -91,6 +101,40 @@ def plain_blocks(seq, j, n, anchor, metric, steps=None, residuals=None):
             if (prefix >> (prefix_bits - 1 - m)) & 1:
                 np.negative(block_pts, out=block_pts)
         yield prefix * size, block_pts, block_lds
+
+
+def per_depth_sandwich(base, schedule, x, t, n_max, anchor, j):
+    """Both depth-n trees at every n, reduced directly.
+
+    Returns (n, a_base, a_pert, residual, worst leaf slack, its word) per depth.
+    """
+    pert = PerturbedSequence(base, schedule, x)
+    offset = cesaro_sum(schedule, j)[0] if j else 0
+    out = []
+    for n in range(1, n_max + 1):
+        lds_base = leaf_log_derivs(base, j, n, anchor)
+        lds_pert = leaf_log_derivs(pert, j, n, anchor)
+        s_n = cesaro_sum(schedule, j + n)[0] - offset
+        # each value stands for two leaves
+        a_base = (logsumexp_grid(lds_base, [t])[0] + math.log(2)) / n
+        a_pert = (logsumexp_grid(lds_pert, [t])[0] + math.log(2)) / n
+        residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2
+        gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2
+        k = int(np.argmax(gap))
+        out.append((n, a_base, a_pert, residual, float(gap[k]), word(k, n)))
+    return out
+
+
+def zipped_motion(base, schedule, x, depth, anchor, j):
+    """(max displacement, max |log modulus ratio|) over the same-word leaves of two traversals."""
+    pert = PerturbedSequence(base, schedule, x)
+    max_disp = max_ratio = 0.0
+    blocks_base = iter_leaf_blocks(base, j, depth, anchor)
+    blocks_pert = iter_leaf_blocks(pert, j, depth, anchor)
+    for (_, pts_b, _), (_, pts_p, _) in zip(blocks_base, blocks_pert):
+        max_disp = max(max_disp, float(np.abs(pts_p - pts_b).max()))
+        max_ratio = max(max_ratio, float(np.abs(np.log(np.abs(pts_p) / np.abs(pts_b))).max()))
+    return max_disp, max_ratio
 
 
 def cesaro_from_blocks(block_lengths, first_sign, n):

@@ -176,10 +176,14 @@ def test_usage_errors(tmp_path, capsys):
          "-o", str(tmp_path / "no" / "x.csv")],
         ["dimension", "--seq", "const:50", "--window", "3:4", "--box-check", "--box-depth", "12",
          "--box-out", str(tmp_path / "no" / "x.csv"), "-o", str(tmp_path / "unwritten.csv")],
+        # and a box CSV opened before an -o that cannot be opened is removed again
+        ["dimension", "--seq", "const:50", "--window", "3:4", "--box-check", "--box-depth", "12",
+         "--box-out", str(tmp_path / "unwritten-box.csv"), "-o", str(tmp_path / "no" / "x.csv")],
     ):
         assert run(args) == 2, args
         assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "unwritten.csv").exists()  # no roots CSV before the box CSV opens
+    assert not (tmp_path / "unwritten-box.csv").exists()
     # rejected without output: a box depth under 1000 points or above the cap, a
     # tol below the float resolution of a_n (rejected before the first step), and
     # --box-out without --box-check

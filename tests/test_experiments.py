@@ -16,9 +16,9 @@ from fiberdim import (
     motion_speed_check,
     sandwich_check,
 )
-from fiberdim import experiments, leaf_log_derivs, orbits, word_of
+from fiberdim import RandomAnnulus, experiments, orbits, parse_sequence
 from fiberdim.sequences import PerturbedSequence
-from fiberdim.transfer import logsumexp_grid
+from oracles import per_depth_sandwich, zipped_motion
 
 CONST50 = Constant(50)
 SCHEDULE = SignSchedule(2, 2, 1)
@@ -87,35 +87,13 @@ def test_sandwich_random_annulus_base():
     assert _within_float_slack(report)
 
 
-def _per_depth_sandwich(base, x, t, n_max, anchor, j):
-    """Test-local brute force: both depth-n trees at every n, reduced directly.
-
-    Returns (n, a_base, a_pert, residual, worst leaf slack, its word) per depth.
-    """
-    pert = PerturbedSequence(base, SCHEDULE, x)
-    offset = cesaro_sum(SCHEDULE, j)[0] if j else 0
-    out = []
-    for n in range(1, n_max + 1):
-        lds_base = leaf_log_derivs(base, j, n, anchor)
-        lds_pert = leaf_log_derivs(pert, j, n, anchor)
-        s_n = cesaro_sum(SCHEDULE, j + n)[0] - offset
-        # each value stands for two leaves
-        a_base = (logsumexp_grid(lds_base, [t])[0] + math.log(2)) / n
-        a_pert = (logsumexp_grid(lds_pert, [t])[0] + math.log(2)) / n
-        residual = abs(a_pert - (a_base - t * x * s_n / n)) - t * abs(x) / 2
-        gap = np.abs(lds_pert - lds_base - x * s_n) - n * abs(x) / 2
-        k = int(np.argmax(gap))
-        out.append((n, a_base, a_pert, residual, float(gap[k]), word_of(k, n)))
-    return out
-
-
 @pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
 @pytest.mark.parametrize("j", [0, 3])
 def test_sandwich_matches_per_depth_brute_force(monkeypatch, anchor, j):
     # 2^3-leaf blocks: every window-cache tree deeper than 4 streams prefix blocks
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", 3)
     base, x, t, n_max = Periodic((50, 60 + 10j, -45)), 0.1, 0.18, 10
-    brute = _per_depth_sandwich(base, x, t, n_max, anchor, j)
+    brute = per_depth_sandwich(base, SCHEDULE, x, t, n_max, anchor, j)
     report = sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
     assert [r.n for r in report.rows] == [b[0] for b in brute]
     for row, (_, a_base, a_pert, residual, _, _) in zip(report.rows, brute):
@@ -135,6 +113,60 @@ def test_sandwich_matches_per_depth_brute_force(monkeypatch, anchor, j):
         with pytest.raises(SandwichViolation) as err:
             sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
         assert (err.value.n, err.value.word) == (first[0], first[5])
+
+
+ORACLE_BASES = ["const:50", "periodic:50,60+10i,-45", "random:seed=7,min=45,max=80"]
+
+
+@pytest.mark.parametrize("spec", ORACLE_BASES)
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("j", [0, 3])
+def test_paired_table_matches_the_oracles(monkeypatch, spec, anchor, j):
+    base, x, t, n_max = parse_sequence(spec), 0.1, 0.18, 16
+    brute = per_depth_sandwich(base, SCHEDULE, x, t, n_max, anchor, j)
+    report = sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
+    assert abs(report.leaf_slack_max - max(b[4] for b in brute)) <= 1e-12
+
+    # every depth: the leaf slack from the least and largest leaf Δ of the paired
+    # table, and the word its sweep names for the worse side
+    pert = PerturbedSequence(base, SCHEDULE, x)
+    low, high, _ = orbits.paired_table(base, pert, j, (1, n_max), anchor)
+    for row, (n, _, _, _, slack, word) in zip(report.rows, brute):
+        above = float(low.leaf_log_max[n - 1]) - x * row.sign_sum
+        below = x * row.sign_sum - float(low.leaf_log_min[n - 1])
+        assert abs(max(above, below) - n * x / 2 - slack) <= 1e-12, n
+        assert (high if above >= below else low).least_word(n) == word, n
+
+    # a float slack below each depth's worst value: the first violating (n, word) agrees
+    worst = [max(b[3], b[4]) for b in brute]
+    for slack in [v - 1e-9 for v in worst]:
+        if min(abs(v - slack) for v in worst) <= 1e-11:  # not clear of float noise
+            continue
+        first = next(b for b, v in zip(brute, worst) if v > slack)
+        monkeypatch.setattr(experiments, "_FLOAT_SLACK", slack)
+        with pytest.raises(SandwichViolation) as err:
+            sandwich_check(base, SCHEDULE, x, t, n_max, anchor=anchor, j=j)
+        assert (err.value.n, err.value.word) == (first[0], first[5])
+
+    motion = motion_speed_check(base, SCHEDULE, x, 16, anchor=anchor, j=j)
+    want = zipped_motion(base, SCHEDULE, x, 16, anchor, j)
+    assert (motion.max_displacement, motion.max_log_ratio) == want
+
+
+def test_paired_levels_stay_small():
+    # real parameters from an off-axis anchor never share point bits: the pairs
+    # merge on the grid key of both members, and no level grows past 2^13
+    pert = PerturbedSequence(CONST50, SCHEDULE, 0.1)
+    levels, steps_1, _, _ = orbits._fiber_table([CONST50, pert], 0, (1, 22), -1.05 + 0.1j, "planar")
+    assert max(steps.size for steps, *_ in levels) < 2**13 and steps_1.size < 2**13
+
+
+def test_verify_runs_the_certificates_at_the_requested_depth():
+    from fiberdim.verification import check_experiments_sandwich, check_orbits_motion
+
+    seq = RandomAnnulus(seed=7, min_mod=45, max_mod=80)
+    assert "n<= 20:" in check_experiments_sandwich(seq, 20).detail
+    assert "depth=20:" in check_orbits_motion(seq, 20).detail
 
 
 def test_motion_speed_report():

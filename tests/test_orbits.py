@@ -22,12 +22,11 @@ from fiberdim import (
     leaf_log_derivs,
     resolution_bound,
     roundtrip_check,
-    word_of,
     write_cloud_csv,
 )
 from fiberdim import orbits
 from fiberdim.cli import main
-from oracles import brute_leaves, plain_blocks
+from oracles import brute_leaves, plain_blocks, word
 
 CONST50 = Constant(50)
 LOG50 = math.log(50.0)
@@ -35,7 +34,7 @@ LOG50 = math.log(50.0)
 
 def test_depth_one_leaves():
     cloud = julia_cloud(CONST50, 1)
-    words = [word_of(i, 1) for i in range(cloud.points.size)]
+    words = [word(i, 1) for i in range(cloud.points.size)]
     assert list(zip(words, cloud.points.tolist())) == [("0", 1 + 0j), ("1", -1 + 0j)]
     for ld in cloud.log_derivs:
         assert ld == pytest.approx(LOG50, rel=1e-15)
@@ -44,7 +43,6 @@ def test_depth_one_leaves():
 
 def test_all_zero_word_is_fixed_point():
     cloud = julia_cloud(CONST50, 3)
-    assert word_of(0, 3) == "000"
     assert cloud.points[0] == 1 + 0j
     assert cloud.log_derivs[0] == pytest.approx(3 * LOG50, rel=1e-14)
     # 1 is fixed by every family member, so leaf 0 stays at 1 under a perturbation too
@@ -65,7 +63,7 @@ def test_depth_two_points():
 def test_leaf_count_and_word_order():
     n = 10
     words = [
-        word_of(start + i, n)
+        word(start + i, n)
         for start, pts, _ in iter_leaf_blocks(CONST50, 0, n)
         for i in range(pts.size)
     ]
@@ -81,7 +79,7 @@ def test_matches_bruteforce_enumeration():
     expected = brute_leaves(params)
     cloud = julia_cloud(seq, n)
     for i, (point, log_deriv) in enumerate(zip(cloud.points, cloud.log_derivs)):
-        z, deriv = expected[word_of(i, n)]
+        z, deriv = expected[word(i, n)]
         assert point == pytest.approx(z, rel=1e-13, abs=1e-13)
         assert log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
 
@@ -94,7 +92,7 @@ def test_fiber_offset_uses_shifted_parameters():
     expected = brute_leaves(params)
     cloud = julia_cloud(seq, n, j=j)
     for i, (point, log_deriv) in enumerate(zip(cloud.points, cloud.log_derivs)):
-        z, deriv = expected[word_of(i, n)]
+        z, deriv = expected[word(i, n)]
         assert point == pytest.approx(z, rel=1e-13, abs=1e-13)
         assert log_deriv == pytest.approx(math.log(deriv), rel=1e-12)
 
@@ -210,12 +208,6 @@ def test_cloud_csv_format():
     assert lines[1] == f"0,1,0,{LOG50:.17g}"
     assert lines[2].startswith("1,-1,")
     assert len(lines) == 3
-
-
-def test_word_of():
-    assert word_of(0, 3) == "000"
-    assert word_of(5, 3) == "101"
-    assert word_of(0, 0) == ""
 
 
 def test_spherical_log_derivs_telescope():

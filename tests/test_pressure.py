@@ -205,7 +205,7 @@ def test_table_levels_stay_under_the_documented_bound(spec, anchor, metric):
     # every level of a table holds fewer than 2^13 points (orbits docstring,
     # certificate of the grid key)
     seq = parse_sequence(spec)
-    levels, steps_1, _ = orbits._fiber_table(seq, 0, 1, 26, complex(anchor), metric)
+    levels, steps_1, _, _ = orbits._fiber_table([seq], 0, (1, 26), anchor, metric)
     assert max(steps.size for steps, *_ in levels) < 2**13 and steps_1.size < 2**13
 
 

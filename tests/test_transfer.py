@@ -15,10 +15,9 @@ from fiberdim import (
     leaf_log_derivs,
     operator_power,
     rho_estimate,
-    word_of,
 )
 from fiberdim.orbits import fiber_table
-from oracles import brute_leaves, brute_operator_sum
+from oracles import brute_leaves, brute_operator_sum, word
 
 CONST50 = Constant(50)
 MIXED = Periodic((50, 60 + 10j, -45))
@@ -110,7 +109,7 @@ def test_atoms_match_bruteforce_weights():
     atoms = conformal_atoms(CONST50, 0, n, t)
     params = [at(CONST50, k) for k in range(1, n + 1)]
     leaves = brute_leaves(params)
-    raw = np.array([leaves[word_of(i, n)][1] ** (-t) for i in range(4)])
+    raw = np.array([leaves[word(i, n)][1] ** (-t) for i in range(4)])
     assert atoms.weights == pytest.approx(raw / raw.sum(), rel=1e-13)
 
 
