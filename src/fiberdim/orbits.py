@@ -415,8 +415,8 @@ class FiberTable:
         while levels:  # L and H, keeping each level's shifts of the weights
             steps, c0, half, where = levels.pop()
             c1 = c0 + half
-            lo0, lo1 = lo[c0], lo[c1]
-            hi = np.maximum(hi[c0], hi[c1])
+            lo0, lo1 = lo.take(c0), lo.take(c1)  # take: a cheaper gather by int32 indices
+            hi = np.maximum(hi.take(c0), hi.take(c1))
             hi += steps
             swap = lo1 < lo0
             c_min, c_max = np.where(swap, c1, c0), np.where(swap, c0, c1)
@@ -436,8 +436,8 @@ class FiberTable:
             for k, (c_min, c_max, gap, where) in enumerate(self._plan, start=1):
                 shifted = np.multiply(gap, t)
                 np.exp(shifted, out=shifted)
-                shifted *= weights[c_max]
-                shifted += weights[c_min]
+                shifted *= weights.take(c_max)
+                shifted += weights.take(c_min)
                 weights = shifted
                 weights_at[k, i] = weights[where]
         return np.multiply.outer(self.leaf_log_min, neg_t) + np.log(weights_at[self._n_lo - 1 :])
@@ -448,9 +448,9 @@ class FiberTable:
         for c_min, c_max, gap, where in self._plan:
             upper = np.multiply(gap, -t)
             np.exp(upper, out=upper)
-            upper *= weights[c_max]
-            lower = weights[c_min]
-            excess = (lower * excess[c_min] + upper * (excess[c_max] + gap)) / (lower + upper)
+            upper *= weights.take(c_max)
+            lower = weights.take(c_min)
+            excess = (lower * excess.take(c_min) + upper * (excess.take(c_max) + gap)) / (lower + upper)
             upper += lower
             weights = upper
             at_anchor.append((weights[where], excess[where]))
