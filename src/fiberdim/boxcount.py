@@ -4,7 +4,9 @@ Independent of the pressure machinery: occupancy counts of axis-aligned
 square grids across a geometric scale ladder, averaged over a few random grid
 offsets to damp lattice alignment, with the dimension read off as the least
 squares slope of log N against log(1/eps).  Used to cross-validate Bowen
-zeros on deterministic instances.
+zeros on deterministic instances.  The offsets are the uniform draws of
+np.random.default_rng(seed), bit for bit, from a pure-Python PCG64 (O'Neill,
+HMC-CS-2014-0905), so the box count never imports numpy.random (a 6 ms import).
 
 Occupancy is a property of the point set, so duplicates are dropped once
 before the scale ladder.  Deep pullback clouds are mostly duplicates: their
@@ -23,6 +25,7 @@ ordered input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,51 @@ from .errors import ResolutionError
 
 _FLOAT_SCALE_FLOOR = 1e-15  # below this, float64 coordinates cannot separate boxes
 DEFAULT_OFFSETS = 4
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _M32, _M64 = 0xCA01F9DD, 0x4973F715, (1 << 32) - 1, (1 << 64) - 1
+_PCG_MULT, _M128 = 0x2360ED051FC65DA44385DF649FCCF645, (1 << 128) - 1
+
+
+def _hashmix(value: int, const: list[int], mult: int) -> int:
+    """SeedSequence's uint32 hash of value, stepping the hash constant held in const[0]."""
+    value ^= const[0]
+    const[0] = const[0] * mult & _M32
+    value = value * const[0] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _offset_draws(seed):
+    """The doubles u in [0, 1) of np.random.default_rng(seed), in order, bit for bit."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a, hash_b = [_INIT_A], [_INIT_B]
+    pool = [_hashmix(word, hash_a, _MULT_A) for word in (words + [0, 0, 0])[:4]]
+    for src, dst in ((src, dst) for src in range(4) for dst in range(4) if src != dst):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a, _MULT_A))
+    for word in words[4:]:  # entropy beyond the pool
+        pool = [_mix(value, _hashmix(word, hash_a, _MULT_A)) for value in pool]
+    out = [_hashmix(pool[i % 4], hash_b, _MULT_B) for i in range(8)]  # generate_state(4, u64)
+    w0, w1, w2, w3 = (out[i] | out[i + 1] << 32 for i in range(0, 8, 2))  # low half first
+    inc = (w2 << 64 | w3) << 1 & _M128 | 1
+    state = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _M128  # from 0: step, add, step
+
+    def draws(state):
+        while True:
+            state = (state * _PCG_MULT + inc) & _M128  # step, then the XSL-RR output
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << 64 - rot) & _M64
+            yield (x >> 11) * 2.0**-53
+
+    return draws(state)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -57,7 +105,7 @@ class BoxCountReport:
         return f"box-count slope {self.slope:.6g} (rms residual {self.residual:.3g})"
 
 
-def _occupancy(points: np.ndarray, eps: float, offset: np.ndarray) -> int:
+def _occupancy(points: np.ndarray, eps: float, offset: tuple[float, float]) -> int:
     ix = np.floor((points.real - offset[0]) / eps)
     iy = np.floor((points.imag - offset[1]) / eps)
     # indices stay below 2**53 for eps >= 1e-15 and O(1) coordinates, so the
@@ -87,6 +135,7 @@ def box_dimension(
     were read from (a tree's 2**depth leaves for its distinct points); the
     1000-point floor applies to it, and otherwise to the points themselves.
     """
+    draws = _offset_draws(seed)  # seed: an int >= 0; None (OS entropy) raises TypeError
     pts = np.asarray(points, dtype=np.complex128).ravel()
     check_sample_size(pts.size if leaves is None else leaves)
     if not np.isfinite(pts).all():
@@ -102,11 +151,11 @@ def box_dimension(
         )
 
     pts = _distinct(pts)  # occupancy depends on the point set only
-    rng = np.random.default_rng(seed)
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):
         per_offset = [
-            _occupancy(pts, eps, rng.uniform(0.0, eps, size=2)) for _ in range(offsets)
+            _occupancy(pts, eps, (0.0 + eps * next(draws), 0.0 + eps * next(draws)))
+            for _ in range(offsets)
         ]
         counts[i] = float(np.mean(per_offset))
 

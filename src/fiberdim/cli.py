@@ -165,7 +165,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--t", type=float, default=0.18)
     p.add_argument("--window", type=_int_pair, default=(2, 18))
     p.add_argument("--mode", choices=("kink", "gap"), default="kink")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=None, help="gap mode only (default 1e-4)")
 
     p = sub.add_parser("motion", help="leaf displacement and modulus-ratio bounds")
     common(p, "--base")
@@ -267,13 +267,16 @@ def _cmd_dimension(args) -> int:
 
 
 def _cmd_perturb(args) -> int:
+    if args.mode == "kink" and args.tol is not None:
+        raise ValueError("--tol needs --mode gap")
     base = parse_sequence(args.base)
     schedule = parse_schedule(args.blocks, args.sign)
     if args.mode == "kink":
         scan = kink_scan(base, schedule, args.t, args.x, args.window, anchor=args.anchor)
         writer = write_kink_csv
     else:
-        scan = gap_scan(base, schedule, args.x, args.window, args.tol, anchor=args.anchor)
+        tol = 1e-4 if args.tol is None else args.tol
+        scan = gap_scan(base, schedule, args.x, args.window, tol, anchor=args.anchor)
         writer = write_gap_csv
     with _open_out(args.out) as (csv_out, info):
         writer(scan, csv_out)

@@ -8,7 +8,8 @@ levels, which shares the step kernels of orbits but takes every level on
 every leaf, and the two perturbation certificates from before the paired
 table, per_depth_sandwich and zipped_motion, which reduce the leaves of both
 trees straight from the traversal.
-The random annulus draw is checked against numpy's own Philox generator.
+The random annulus draw is checked against numpy's own Philox generator, and
+the box count's grid offsets against numpy's default_rng (numpy_box_dimension).
 """
 
 import cmath
@@ -17,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from fiberdim import at, cesaro_sum, iter_leaf_blocks, leaf_log_derivs, orbits
+from fiberdim import at, boxcount, cesaro_sum, iter_leaf_blocks, leaf_log_derivs, orbits
 from fiberdim.family import apply
 from fiberdim.sequences import PerturbedSequence
 from fiberdim.transfer import logsumexp_grid
@@ -170,3 +171,21 @@ def numpy_annulus_draw(seed, k, min_mod, max_mod):
     modulus = gen.uniform(min_mod, max_mod)
     argument = gen.uniform(0.0, 2.0 * math.pi)
     return complex(modulus * math.cos(argument), modulus * math.sin(argument))
+
+
+def numpy_box_dimension(points, eps_ladder, offsets=4, seed=0):
+    """box_dimension's counts, slope and residual with its former grid offsets, drawn by
+    numpy's default_rng(seed).uniform(0.0, eps, size=2) for each offset at each scale."""
+    pts = boxcount._distinct(np.asarray(points, dtype=np.complex128).ravel())
+    ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
+    rng = np.random.default_rng(seed)
+    counts = np.empty(ladder.size)
+    for i, eps in enumerate(ladder):
+        per_offset = [
+            boxcount._occupancy(pts, eps, rng.uniform(0.0, eps, size=2)) for _ in range(offsets)
+        ]
+        counts[i] = float(np.mean(per_offset))
+    log_inv_eps, log_counts = np.log(1.0 / ladder), np.log(counts)
+    slope, intercept = np.polyfit(log_inv_eps, log_counts, 1)
+    residual = float(np.sqrt(np.mean((log_counts - (slope * log_inv_eps + intercept)) ** 2)))
+    return counts, float(slope), residual

@@ -1,3 +1,4 @@
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from fiberdim import (
 from fiberdim import boxcount, orbits
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure
-from oracles import bisection_zero
+from oracles import bisection_zero, numpy_box_dimension
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -105,6 +106,44 @@ def test_deterministic_given_seed():
     b = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9), seed=5)
     assert a.slope == b.slope
     assert np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345],  # 2**200: entropy beyond the 4-word pool
+)
+def test_offset_draws_match_numpy_default_rng(seed):
+    # per scale, per offset, Re then Im: the doubles of default_rng(seed).uniform(0.0, eps, size=2)
+    draws, rng = boxcount._offset_draws(seed), np.random.default_rng(seed)
+    for eps in default_ladder(count=25):
+        for _ in range(4):
+            got = np.array([0.0 + eps * next(draws), 0.0 + eps * next(draws)])
+            assert got.tobytes() == rng.uniform(0.0, eps, size=2).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 1])
+def test_box_dimension_matches_the_numpy_offset_oracle(seed):
+    cloud = julia_cloud(Constant(50), 12)
+    ladder = cloud_ladder(cloud.resolution)
+    got = box_dimension(cloud.points, ladder, min_scale=cloud.resolution, seed=seed)
+    counts, slope, residual = numpy_box_dimension(cloud.points, ladder, seed=seed)
+    assert np.array_equal(got.counts, counts)
+    assert got.slope == slope
+    assert got.residual == residual
+
+
+def test_seed_validation():
+    cloud = segment_cloud()
+    with pytest.raises(ValueError):  # as numpy's SeedSequence
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        box_dimension(cloud, seed=-1)
+    for seed in (1.5, 7.0, "7", None):  # None no longer draws OS entropy
+        with pytest.raises(TypeError):
+            box_dimension(cloud, seed=seed)
+    for seed in (np.int64(7), np.uint64(2**63 + 5)):  # numpy integers, via operator.index
+        want = boxcount._offset_draws(int(seed))
+        assert [next(want) for _ in range(8)] == list(islice(boxcount._offset_draws(seed), 8))
 
 
 def test_duplicates_do_not_change_counts():

@@ -69,6 +69,24 @@ def test_perturb_gap_mode(tmp_path):
     assert len(lines) == 4
 
 
+def test_perturb_tol_needs_gap_mode(tmp_path, capsys):
+    # kink mode reads no --tol, so one given with it is a usage error, even nan
+    out = tmp_path / "kink.csv"
+    for tol in ("nan", "1e-4"):
+        assert run(["perturb", "--base", "const:50", "--x=-0.05:0.05:3", "--window", "2:6",
+                    "--tol", tol, "-o", str(out)]) == 2, tol
+        assert "--tol needs --mode gap" in capsys.readouterr().err
+        assert not out.exists()
+    # gap mode without --tol uses 1e-4
+    blobs = []
+    for tol in ([], ["--tol", "1e-4"]):
+        gap = tmp_path / f"gap{len(blobs)}.csv"
+        assert run(["perturb", "--base", "const:50", "--mode", "gap", "--x=-0.05:0.05:3",
+                    "--window", "6:10", *tol, "-o", str(gap)]) == 0
+        blobs.append(read(gap))
+    assert blobs[0] == blobs[1]
+
+
 def test_dimension_values(tmp_path, capsys):
     out = tmp_path / "roots.csv"
     assert run(["dimension", "--seq", "const:50", "--window", "10:14",

@@ -1,5 +1,5 @@
 """Start-up: what `import fiberdim` and `import fiberdim.cli` load, the BLAS thread count, and
-which runs load `numpy.random`."""
+that no CLI run but `verify` loads `numpy.random`."""
 
 import os
 import subprocess
@@ -109,13 +109,14 @@ def test_import_sequences_loads_no_numpy():
          "--window", "2:6", "--workers", "1"],
         ["perturb", "--base", "random:seed=7,min=45,max=80", "--x=-0.05:0.05:3", "--t", "0.18",
          "--window", "2:6", "--workers", "2"],
+        ["dimension", "--seq", "const:50", "--window", "8:12", "--box-check"],
     ],
-    ids=["pressure", "perturb", "perturb-workers-2"],
+    ids=["pressure", "perturb", "perturb-workers-2", "dimension-box-check"],
 )
-def test_random_spec_runs_never_load_numpy_random(args, tmp_path):
-    # random: draws come from the pure-Python Philox in sequences; numpy.random
-    # loads only for the box count's offsets and verify.  No run loads
-    # multiprocessing, whatever --workers says.
+def test_cli_runs_but_verify_never_load_numpy_random(args, tmp_path):
+    # random: draws come from the pure-Python Philox in sequences and the box
+    # count's grid offsets from the pure-Python PCG64 in boxcount; numpy.random
+    # loads only for verify.  No run loads multiprocessing, whatever --workers says.
     code = (
         "import sys; from fiberdim import cli; "
         f"code = cli.main({[*args, '-o', str(tmp_path / 'out.csv')]!r}); "
