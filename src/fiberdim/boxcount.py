@@ -135,6 +135,8 @@ def box_dimension(
     were read from (a tree's 2**depth leaves for its distinct points); the
     1000-point floor applies to it, and otherwise to the points themselves.
     """
+    if offsets < 1:
+        raise ValueError(f"need at least one grid offset, got {offsets}")
     draws = _offset_draws(seed)  # seed: an int >= 0; None (OS entropy) raises TypeError
     pts = np.asarray(points, dtype=np.complex128).ravel()
     check_sample_size(pts.size if leaves is None else leaves)

@@ -8,32 +8,32 @@ steps.  Leaves are enumerated in lexicographic word order; the integer index
 of a leaf is its word read as a binary number.
 
 The traversal works level by level on numpy arrays, stacking the new branch
-bit as the most significant index bit: the levels that branch on every leaf
-fill one points array and one log-derivatives array of the final size in
-place (a level with s parents in [0, s) writes their roots there and the
-negatives to [s, 2s)).  Deep trees are streamed in blocks of at most
-2**_BLOCK_LOG2 leaves (word-order preserved) so memory stays bounded
-regardless of depth.  Accumulated log-derivatives are carried along exactly:
-log_deriv(leaf) = sum over forward steps of log|l_k z_k| (planar metric) or
-the spherically rescaled step sizes (metric="spherical").
+bit as the most significant index bit: a level with s leaves in [0, s) has
+their branch-0 roots there and the negatives in [s, 2s).  Deep trees are
+streamed in blocks of at most 2**_BLOCK_LOG2 leaves (word-order preserved) so
+memory stays bounded regardless of depth.  Accumulated log-derivatives are
+carried along exactly: log_deriv(leaf) = sum over forward steps of
+log|l_k z_k| (planar metric) or the spherically rescaled step sizes
+(metric="spherical").
 
-Run-length levels: a level holds its points as runs, the distinct points in
-word order with a leaf count each, beside the full-size log-derivatives.
-Every inverse branch contracts by at least 80/3, so leaves whose words differ
-only in their innermost bits, the low index bits, round to one float64 from
-about level 11 on (depth 18 of random:seed=7,min=45,max=80 has 5,878 runs
-for 262,144 leaves).  Such leaves are index neighbours, so merging
-neighbouring runs with equal roots finds them.  Equal means equal bits of the
-uint64 views of both parts: -0.0 and +0.0 print differently and stay apart.
-Step logs and roots are taken once per run and np.repeat(steps, counts) adds
-each run's step log to its leaves, so every leaf gets the same arithmetic on
-the same inputs in the same order as a level over all leaves, and no bit
-moves.
-
-Distinct levels (distinct_points, roundtrip_check): what depends only on the
-point set of each level walks the levels from the anchor and holds one at a
-time: level k - 1 is [U, -U] for U the bit-distinct branch-0 roots of level
-k (_level_below), so each bit pattern of the traversal's level comes once.
+Distinct levels: level k - 1 is [U, -U] for U the bit-distinct branch-0
+roots of level k (_level_below), found by one stable argsort and a uint64
+neighbour compare of the sorted roots, so each bit pattern of a level comes
+once.  Equal means equal bits of both parts: -0.0 and +0.0 print differently
+and stay apart.  Every inverse branch contracts by at least 80/3, so leaves
+whose words differ only in their innermost bits round to one float64 from
+about level 11 on (depth 18 of random:seed=7,min=45,max=80 has 5,832
+distinct points for 262,144 leaves).  What depends only on the point set of
+each level (distinct_points, roundtrip_check) walks the levels from the
+anchor and holds one at a time.  iter_leaf_blocks walks the same levels and
+keeps one log-derivative and one index into the level per leaf: each level
+adds the step logs of its distinct points by take(index), maps index through
+the children c0 and doubles both arrays for branch 1 ([index, index + |U|]
+and [lds, lds]).  Every leaf gets the same arithmetic on the same inputs in
+the same order as a level over all leaves, so no bit moves.  Past
+2**_BLOCK_LOG2 leaves, each word prefix takes a copy of the last level's
+distinct points through the remaining outer levels, and its block is their
+take(index).
 
 Fiber point tables (fiber_table): the depth-n trees at fiber j for every
 n of a range are reduced over one deduplicated point set per level.  Every
@@ -44,7 +44,7 @@ nearly all their bit-distinct points.  The build runs top-down: P_{n_max} is
 {anchor}; for k = n_max..2 it takes the step logs s_k of P_k (the step-log
 identity below) and their branch-0 roots, and P_{k-1} is [U, -U] with U one
 root per cell of the grid key (below), found by one stable argsort and a
-uint64 neighbour compare of the keys (the idiom of _merge_runs).
+uint64 neighbour compare of the keys, as in the distinct levels.
 Branch-0 roots have Re > 0.88, so U and -U share no point.  Each point of
 P_k keeps the index c0 of its root in U, and c1 = c0 + |U| is that of its
 negative.  For n_min <= k - 1 the anchor is appended to P_{k-1} unless the
@@ -156,12 +156,6 @@ from .sequences import SequenceSpec, at, format_sequence
 
 _DEFAULT_DEPTH_LIMIT = 26
 _BLOCK_LOG2 = 18  # leaves per streamed block cap (4 MiB of complex128)
-# Runs are merged from the level where the innermost siblings (leaves 0 and 1)
-# come this close.  Two leaves can round to one float64 only within about
-# 2**-51 of each other, and every innermost sibling pair stays within a factor
-# 1.125 per level of pair (0, 1) (the spread of |branch'| on the trapping
-# disks), under 2**5 at any allowed depth; so the span holds back no merge.
-_MERGE_SPAN = 2.0**-44
 _GRID = 2.0**-56  # q, the cell side of the fiber point tables' grid key
 
 PLANAR = "planar"
@@ -228,129 +222,6 @@ def _branch0_root(l: complex, pts: np.ndarray) -> None:
     pts.real = r
 
 
-def _inverse_step(l, pts, counts, lds, metric):
-    """Replace the runs pts by their branch-0 preimages under f_l and add the one-step log-derivatives to lds.
-
-    Run i stands for counts[i] consecutive leaves of lds (one each when counts
-    is None).  The branch-1 preimages are the negatives, with the same
-    log-derivatives since |-r| = |r|.
-    """
-    steps = _step_logs(l, pts, metric)
-    _branch0_root(l, pts)
-    lds += steps if counts is None else np.repeat(steps, counts)
-
-
-def _merge_runs(pts, r, counts):
-    """Merge the neighbouring runs of pts[:r] whose points are bit-identical, when a merge is due.
-
-    The one merge rule of the run-length levels.  Merging starts once the
-    first two points (leaves 0 and 1) come within _MERGE_SPAN, and goes on
-    at every later level once an earlier one merged (counts is not None).
-    It compares the uint64 views of both parts, so -0.0 and +0.0 stay apart,
-    and waits until it removes a quarter of the runs: below that its
-    bookkeeping costs more than it saves, and equal neighbours stay equal and
-    adjacent at the next level.  Returns the new run count and the counts
-    buffer (allocated at the first merge; before it every run is one leaf).
-    """
-    runs = pts[:r]
-    if r < 2 or not (counts is not None or abs(runs[1] - runs[0]) < _MERGE_SPAN):
-        return r, counts
-    bits = runs.view(np.uint64)  # re, im, re, im, ...
-    # one uint16 per neighbour pair: its two bytes say whether re and im differ
-    differs = (bits[2:] != bits[:-2]).view(np.uint16)
-    if 4 * (1 + np.count_nonzero(differs)) > 3 * r:
-        return r, counts
-    starts = np.concatenate(([0], np.flatnonzero(differs) + 1))
-    if counts is None:
-        counts = np.empty(pts.size, np.intp)
-        counts[:r] = 1
-    counts[: starts.size] = np.add.reduceat(counts[:r], starts)
-    pts[: starts.size] = pts[starts]
-    return starts.size, counts
-
-
-def _iter_runs(seq, j, n, anchor, metric):
-    """Yield (start_index, points, counts, log_derivs) blocks of the depth-n tree in run-length form.
-
-    Block leaf i lies at np.repeat(points, counts)[i] (points itself when
-    counts is None); log_derivs has one entry per leaf.  Blocks, word order
-    and arithmetic are those of iter_leaf_blocks.  The levels nearest the
-    anchor are built once into arrays of at most 2**_BLOCK_LOG2 entries; a
-    deeper tree then streams one block per word prefix, each a copy of them
-    taken through the remaining outer levels.
-    """
-    _validate(n, anchor)
-    params = [at(seq, k) for k in range(j + 1, j + n + 1)]
-    prefix_bits = max(0, n - _BLOCK_LOG2)
-    size = 1 << (n - prefix_bits)
-    pts = np.empty(size, np.complex128)
-    lds = np.empty(size)
-    pts[0], lds[0] = anchor, 0.0
-    counts = None
-    r = s = 1  # runs, leaves
-    for m in range(n - 1, prefix_bits - 1, -1):
-        run_counts = None if counts is None else counts[:r]
-        _inverse_step(params[m], pts[:r], run_counts, lds[:s], metric)
-        # a merge pays off only on the levels still to come
-        if m:
-            r, counts = _merge_runs(pts, r, counts)
-        np.negative(pts[:r], out=pts[r : 2 * r])
-        if counts is not None:
-            counts[r : 2 * r] = counts[:r]
-        lds[s : 2 * s] = lds[:s]
-        r *= 2
-        s *= 2
-    pts = pts[:r]
-    if counts is not None:
-        counts = counts[:r]
-    if prefix_bits == 0:
-        yield 0, pts, counts, lds
-        return
-    for prefix in range(1 << prefix_bits):
-        block_pts, block_lds = pts.copy(), lds.copy()
-        for m in range(prefix_bits - 1, -1, -1):
-            _inverse_step(params[m], block_pts, counts, block_lds, metric)
-            if (prefix >> (prefix_bits - 1 - m)) & 1:
-                np.negative(block_pts, out=block_pts)
-        yield prefix * size, block_pts, counts, block_lds
-
-
-def iter_leaf_blocks(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (start_index, points, log_derivs) blocks covering all 2**n leaves.
-
-    Blocks arrive in word order and partition the index range [0, 2**n); the
-    leaf at global index i has word format(i, '0nb').  The traversal is fixed
-    (suffix arrays bottom-up, then one pass per word prefix), so results are
-    bit-identical however the blocks are consumed.
-    """
-    for start, pts, counts, lds in _iter_runs(seq, j, n, anchor, metric):
-        yield start, pts if counts is None else np.repeat(pts, counts), lds
-
-
-def leaf_log_derivs(
-    seq: SequenceSpec,
-    j: int = 0,
-    n: int = 1,
-    anchor: complex = 1.0 + 0.0j,
-    metric: str = PLANAR,
-) -> np.ndarray:
-    """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
-
-    By the first-bit identity each value stands for two leaves, so their
-    extremes are those of the full depth-n tree; n = 0 returns [0], the
-    anchor, which stands for one.  They are the first half of iter_leaf_blocks'.
-    """
-    half = 1 << max(n - 1, 0)
-    blocks = takewhile(lambda block: block[0] < half, iter_leaf_blocks(seq, j, n, anchor, metric))
-    return np.concatenate([lds for _, _, lds in blocks])[:half]
-
-
 def _grid_key(pts):
     """Re + i (round(Im / q) q + 0.0), the grid key of the fiber point tables (module docstring)."""
     key = pts.copy()
@@ -395,6 +266,60 @@ def _level_below(ls, pts, grid=False):
     np.take(pts, order, axis=1, out=level[:, :half], mode="clip")  # unbuffered
     np.negative(level[:, :half], out=level[:, half:])
     return level, index
+
+
+def iter_leaf_blocks(
+    seq: SequenceSpec,
+    j: int = 0,
+    n: int = 1,
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (start_index, points, log_derivs) blocks covering all 2**n leaves.
+
+    Blocks arrive in word order and partition the index range [0, 2**n); the
+    leaf at global index i has word format(i, '0nb').  The levels nearest the
+    anchor are walked once as distinct levels, with one log-derivative and one
+    index into the level per leaf (module docstring); a deeper tree then streams
+    one block per word prefix, so results are bit-identical however the blocks
+    are consumed.
+    """
+    _validate(n, anchor)
+    params = [at(seq, k) for k in range(j + 1, j + n + 1)]
+    prefix_bits = max(0, n - _BLOCK_LOG2)
+    pts, index, lds = np.array([[anchor]], np.complex128), np.zeros(1, np.int32), np.zeros(1)
+    for l in reversed(params[prefix_bits:]):  # l_{j+n} first
+        lds += _step_logs(l, pts[0], metric).take(index)
+        pts, c0 = _level_below([l], pts)
+        index = c0.take(index)
+        index = np.concatenate((index, index + pts.shape[1] // 2))
+        lds = np.concatenate((lds, lds))
+    for prefix in range(1 << prefix_bits):
+        block_pts, block_lds = pts[0].copy(), lds.copy()
+        for m in range(prefix_bits - 1, -1, -1):
+            block_lds += _step_logs(params[m], block_pts, metric).take(index)
+            _branch0_root(params[m], block_pts)
+            if (prefix >> (prefix_bits - 1 - m)) & 1:
+                np.negative(block_pts, out=block_pts)
+        yield prefix * index.size, block_pts.take(index), block_lds
+
+
+def leaf_log_derivs(
+    seq: SequenceSpec,
+    j: int = 0,
+    n: int = 1,
+    anchor: complex = 1.0 + 0.0j,
+    metric: str = PLANAR,
+) -> np.ndarray:
+    """Accumulated log-derivatives of the 2**(n-1) leaves whose word starts with 0, in word order.
+
+    By the first-bit identity each value stands for two leaves, so their
+    extremes are those of the full depth-n tree; n = 0 returns [0], the
+    anchor, which stands for one.  They are the first half of iter_leaf_blocks'.
+    """
+    half = 1 << max(n - 1, 0)
+    blocks = takewhile(lambda block: block[0] < half, iter_leaf_blocks(seq, j, n, anchor, metric))
+    return np.concatenate([lds for _, _, lds in blocks])[:half]
 
 
 class FiberTable:

@@ -3,7 +3,7 @@
 Everything here works leaf-by-leaf with scalar cmath, enumerating words
 explicitly and measuring derivatives along the forward orbit, so it shares no
 code path (and no reduction order) with the vectorized implementation.
-The exceptions are plain_blocks, the level loop from before run-length
+The exceptions are plain_blocks, the level loop from before distinct
 levels, which shares the step kernels of orbits but takes every level on
 every leaf, and the two perturbation certificates from before the paired
 table, per_depth_sandwich and zipped_motion, which reduce the leaves of both
@@ -67,7 +67,7 @@ def brute_operator_sum(params, t, anchor=1.0 + 0.0j):
 
 
 def plain_blocks(seq, j, n, anchor, metric, steps=None, residuals=None):
-    """Reference iter_leaf_blocks: the level loop before run-length levels, every level on every leaf.
+    """Reference iter_leaf_blocks: the level loop before distinct levels, every level on every leaf.
 
     When given, steps collects the (min, max) of the step logs of every
     level and block, and residuals max |f_l(child) - parent| of every step.

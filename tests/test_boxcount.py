@@ -88,6 +88,9 @@ def test_input_validation():
         box_dimension(np.append(segment_cloud(), np.nan))
     with pytest.raises(ValueError):
         box_dimension(segment_cloud(), np.geomspace(0.5, 0.05, 5))  # one decade only
+    for offsets in (0, -1):  # np.mean of no counts would give NaN
+        with pytest.raises(ValueError, match="grid offset"):
+            box_dimension(segment_cloud(), offsets=offsets)
 
 
 def test_default_and_cloud_ladders():

@@ -2,6 +2,7 @@ import hashlib
 import io
 import math
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ JULIA_DEPTH12_POINTS = {
 
 
 # sha256 of the whole CSV (word,re,im,log_deriv) of `fiberdim julia --depth 16`,
-# frozen before the traversal went run-length; from about level 11 on a level
+# frozen before the traversal first merged equal points; from about level 11 on a level
 # holds far fewer distinct points than leaves, and no byte may move
 JULIA_DEPTH16 = {
     ("const:50", "planar", "1"):
@@ -335,16 +336,15 @@ RUN_SEQS = [
 ]
 
 
-@pytest.mark.parametrize("block_log2,n", [(18, 15), (13, 16)], ids=["one-block", "prefix-path"])
+@pytest.mark.parametrize(
+    "block_log2,n", [(18, 15), (13, 16), (0, 6)], ids=["one-block", "prefix-path", "prefix-only"]
+)
 @pytest.mark.parametrize("seq", RUN_SEQS, ids=format)
 @pytest.mark.parametrize("metric", ["planar", "spherical"])
 @pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
-def test_run_length_levels_match_plain_levels(monkeypatch, seq, metric, anchor, block_log2, n):
+def test_leaf_blocks_match_plain_levels(monkeypatch, seq, metric, anchor, block_log2, n):
+    # _BLOCK_LOG2 = 0 takes every level on the prefix path, one leaf per block
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
-    # Runs merge here, except from an off-axis anchor over a real l: those
-    # leaves keep distinct imaginary parts.
-    merged = [c is not None for _, _, c, _ in orbits._iter_runs(seq, 0, n, anchor, metric)]
-    assert all(merged) or (seq is CONST50 and complex(anchor).imag != 0)
     residuals = []
     want = list(plain_blocks(seq, 0, n, anchor, metric, residuals=residuals))
     got = list(iter_leaf_blocks(seq, 0, n, anchor, metric))
@@ -359,11 +359,25 @@ def test_run_length_levels_match_plain_levels(monkeypatch, seq, metric, anchor, 
     assert np.array_equal(_bits(half), _bits(_plain_half(seq, 0, n, anchor, metric)))
 
 
-def test_merge_keeps_signed_zeros_apart():
-    # 1+0j and 1-0j compare equal but print differently: they stay two runs
-    pts = np.array([1 + 0j, complex(1, -0.0)])
-    assert orbits._merge_runs(pts, 2, None) == (2, None)
-    pts = np.array([1 + 0j, complex(1, -0.0), complex(1, -0.0), complex(1, -0.0)])
-    r, counts = orbits._merge_runs(pts, 4, None)
-    assert r == 2 and counts[:2].tolist() == [1, 3]
-    assert [math.copysign(1.0, z.imag) for z in pts[:2]] == [1.0, -1.0]
+def test_level_below_keeps_signed_zeros_apart(monkeypatch):
+    # 1+0j and 1-0j compare equal but print differently: without the grid key
+    # they stay two points; with _branch0_root a no-op the keys go in as given
+    monkeypatch.setattr(orbits, "_branch0_root", lambda l, pts: None)
+    pts = np.array([[1 + 0j, complex(1, -0.0), complex(1, -0.0)]])
+    level, index = orbits._level_below([50.0], pts)
+    assert level.shape == (1, 4) and index.tolist() == [0, 1, 1]
+    assert [math.copysign(1.0, z.imag) for z in level[0, :2]] == [1.0, -1.0]
+
+
+def test_leaf_blocks_hold_one_block_at_a_time(monkeypatch):
+    # real parameters from an off-axis anchor never merge points, so a walk
+    # that kept every level distinct would hold about 2^21 points here
+    monkeypatch.setattr(orbits, "_BLOCK_LOG2", 14)
+    tracemalloc.start()
+    try:
+        for _ in iter_leaf_blocks(CONST50, 0, 20, -1.05 + 0.1j):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
