@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,8 +94,7 @@ def default_ladder(eps_max: float = 1e-2, eps_min: float = 1e-13, count: int = 2
     return np.geomspace(eps_max, eps_min, count)
 
 
-@dataclass(frozen=True)
-class BoxCountReport:
+class BoxCountReport(NamedTuple):
     epsilons: np.ndarray
     counts: np.ndarray  # offset-averaged occupancy per scale
     slope: float
@@ -105,12 +104,22 @@ class BoxCountReport:
         return f"box-count slope {self.slope:.6g} (rms residual {self.residual:.3g})"
 
 
-def _occupancy(points: np.ndarray, eps: float, offset: tuple[float, float]) -> int:
-    ix = np.floor((points.real - offset[0]) / eps)
-    iy = np.floor((points.imag - offset[1]) / eps)
+def _occupancy(
+    points: np.ndarray,
+    eps: float,
+    offset: tuple[float, float],
+    key: np.ndarray,
+    scratch: np.ndarray,
+) -> int:
+    """Occupied boxes, computed in the caller's key (complex) and scratch (float) buffers."""
+    for part, index, off in zip((points.real, points.imag), (key.real, key.imag), offset):
+        np.subtract(part, off, out=scratch)
+        np.divide(scratch, eps, out=scratch)
+        np.floor(scratch, out=index)
     # indices stay below 2**53 for eps >= 1e-15 and O(1) coordinates, so the
     # complex key is collision-free
-    return int(_distinct(ix + 1j * iy).size)
+    key.sort(kind="stable")
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
 
 
 def check_sample_size(size: int) -> None:
@@ -153,10 +162,11 @@ def box_dimension(
         )
 
     pts = _distinct(pts)  # occupancy depends on the point set only
+    key, scratch = np.empty(pts.size, np.complex128), np.empty(pts.size)  # reused by every grid
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):
         per_offset = [
-            _occupancy(pts, eps, (0.0 + eps * next(draws), 0.0 + eps * next(draws)))
+            _occupancy(pts, eps, (0.0 + eps * next(draws), 0.0 + eps * next(draws)), key, scratch)
             for _ in range(offsets)
         ]
         counts[i] = float(np.mean(per_offset))

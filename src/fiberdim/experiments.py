@@ -15,7 +15,7 @@ windowed pressure envelopes and the dimension pair spread out as |x| grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _FLOAT_SLACK = 1e-9
 _MOTION_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SandwichRow:
+class SandwichRow(NamedTuple):
     n: int
     sign_sum: int
     a_base: float
@@ -46,8 +45,7 @@ class SandwichRow:
     residual: float  # |a_pert - (a_base - t x S_n/n)| - t|x|/2, nonpositive
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(NamedTuple):
     base_id: str
     schedule: SignSchedule
     x: float
@@ -120,8 +118,7 @@ def sandwich_check(
     )
 
 
-@dataclass(frozen=True)
-class MotionReport:
+class MotionReport(NamedTuple):
     x: float
     depth: int
     delta: float
@@ -167,8 +164,7 @@ def motion_speed_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KinkRow:
+class KinkRow(NamedTuple):
     x: float
     p_lower: float
     p_upper: float
@@ -179,8 +175,7 @@ class KinkRow:
     spread_rhs: float  # t|x| * cesaro oscillation - t|x| - base spread
 
 
-@dataclass(frozen=True)
-class KinkScan:
+class KinkScan(NamedTuple):
     base_id: str
     schedule: SignSchedule
     t: float
@@ -285,8 +280,7 @@ def kink_scan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapRow:
+class GapRow(NamedTuple):
     x: float
     h_lower: float
     h_upper: float
@@ -294,8 +288,7 @@ class GapRow:
     env_upper: float  # base h_upper * (1 + |x| / (2 log gamma_emp))
 
 
-@dataclass(frozen=True)
-class GapScan:
+class GapScan(NamedTuple):
     base_id: str
     schedule: SignSchedule
     window: tuple[int, int]

@@ -11,7 +11,7 @@ All functions accept scalars or numpy arrays and are stateless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def in_trap_union(z, closed: bool = True) -> bool:
     return bool(cmp(abs(z - CENTER_0), TRAP_RADIUS) or cmp(abs(z - CENTER_1), TRAP_RADIUS))
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of the backward-invariance check for a single parameter."""
 
     l: complex

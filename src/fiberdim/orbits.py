@@ -144,9 +144,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 from itertools import takewhile
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -473,8 +472,7 @@ def resolution_bound(seq: SequenceSpec, depth: int, j: int = 0) -> float:
     return bound
 
 
-@dataclass(frozen=True)
-class JuliaCloud:
+class JuliaCloud(NamedTuple):
     """All depth-n pullbacks of the anchor; exact Julia points when anchor=1."""
 
     points: np.ndarray
@@ -510,8 +508,7 @@ def julia_cloud(
     )
 
 
-@dataclass(frozen=True)
-class RoundTripReport:
+class RoundTripReport(NamedTuple):
     """A-posteriori accuracy certificate for a pullback tree.
 
     edge_residual_max is max |f_l(child) - parent| over every tree edge.  The

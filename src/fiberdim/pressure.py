@@ -34,7 +34,7 @@ traversal's in the last bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
 _ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero() accepts
 
 
-@dataclass(frozen=True)
-class PressureCurve:
+class PressureCurve(NamedTuple):
     """Matrix a_n(t) over a depth range and t grid, plus windowed envelopes."""
 
     seq_id: str
@@ -117,8 +116,7 @@ def pressure_curve(
     )
 
 
-@dataclass(frozen=True)
-class BowenZero:
+class BowenZero(NamedTuple):
     """Root of a windowed pressure estimate, with its certified bracket."""
 
     t_star: float

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
 
 from .errors import InvalidSpec, PerturbationTooLarge
 
@@ -36,46 +35,80 @@ def _check_modulus(value: complex, what: str) -> None:
         raise InvalidSpec(f"{what} has modulus {abs(value):.6g} <= {MIN_MODULUS:g}")
 
 
-@dataclass(frozen=True)
-class Constant:
+class _Spec:
+    """Immutable spec that compares, hashes and prints by its fields, in __slots__ order.
+
+    Specs key lru_caches, so a spec equals only a spec of its own type: never
+    a tuple, nor a spec of another type with the same fields.
+    """
+
+    __slots__ = ("_values",)
+
+    def _freeze(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_values", values)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable spec")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable spec")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__
+        return type(self), self._values
+
+
+class Constant(_Spec):
     """l_k = value for every k."""
 
-    value: complex
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        _check_modulus(self.value, "constant")
+    def __init__(self, value: complex):
+        _check_modulus(value, "constant")
+        self._freeze(value)
 
 
-@dataclass(frozen=True)
-class Periodic:
+class Periodic(_Spec):
     """l_k cycles through `cycle` (1-based index k maps to cycle[(k-1) % len])."""
 
-    cycle: tuple[complex, ...]
+    __slots__ = ("cycle",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cycle", tuple(complex(c) for c in self.cycle))
-        if not self.cycle:
+    def __init__(self, cycle: tuple[complex, ...]):
+        cycle = tuple(complex(c) for c in cycle)
+        if not cycle:
             raise InvalidSpec("periodic cycle is empty")
-        for c in self.cycle:
+        for c in cycle:
             _check_modulus(c, "cycle entry")
+        self._freeze(cycle)
 
 
-@dataclass(frozen=True)
-class Explicit:
+class Explicit(_Spec):
     """Finite prefix followed by a constant tail."""
 
-    prefix: tuple[complex, ...]
-    tail: complex
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(complex(c) for c in self.prefix))
-        for c in self.prefix:
+    def __init__(self, prefix: tuple[complex, ...], tail: complex):
+        prefix = tuple(complex(c) for c in prefix)
+        for c in prefix:
             _check_modulus(c, "prefix entry")
-        _check_modulus(self.tail, "tail")
+        _check_modulus(tail, "tail")
+        self._freeze(prefix, tail)
 
 
-@dataclass(frozen=True)
-class RandomAnnulus:
+class RandomAnnulus(_Spec):
     """Counter-based random draws from the annulus min_mod <= |l| <= max_mod.
 
     Each index k is generated from a Philox4x64-10 block keyed by (seed, k),
@@ -83,43 +116,40 @@ class RandomAnnulus:
     key words are 64 bits wide, so seed and k must lie in [0, 2^64).
     """
 
-    seed: int
-    min_mod: float = 45.0
-    max_mod: float = 80.0
+    __slots__ = ("seed", "min_mod", "max_mod")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.min_mod) and math.isfinite(self.max_mod)):
+    def __init__(self, seed: int, min_mod: float = 45.0, max_mod: float = 80.0):
+        if not (math.isfinite(min_mod) and math.isfinite(max_mod)):
             raise InvalidSpec(
-                f"random annulus bounds must be finite, got [{self.min_mod:g}, {self.max_mod:g}]"
+                f"random annulus bounds must be finite, got [{min_mod:g}, {max_mod:g}]"
             )
-        if not (MIN_MODULUS < self.min_mod <= self.max_mod):
+        if not (MIN_MODULUS < min_mod <= max_mod):
             raise InvalidSpec(
                 f"random annulus needs {MIN_MODULUS:g} < min_mod <= max_mod, "
-                f"got [{self.min_mod:g}, {self.max_mod:g}]"
+                f"got [{min_mod:g}, {max_mod:g}]"
             )
-        if not 0 <= self.seed < _KEY_BOUND:
-            raise InvalidSpec(f"seed must be an integer in [0, 2^64), got {self.seed}")
+        if not 0 <= seed < _KEY_BOUND:
+            raise InvalidSpec(f"seed must be an integer in [0, 2^64), got {seed}")
+        self._freeze(seed, min_mod, max_mod)
 
 
-@dataclass(frozen=True)
-class SignSchedule:
+class SignSchedule(_Spec):
     """Signs s_k in {-1, +1}, constant on blocks of geometrically growing length.
 
     Block m (m = 0, 1, ...) has length initial_block_len * growth_ratio**m and
     carries sign first_sign * (-1)**m.
     """
 
-    initial_block_len: int = 2
-    growth_ratio: int = 2
-    first_sign: int = 1
+    __slots__ = ("initial_block_len", "growth_ratio", "first_sign")
 
-    def __post_init__(self):
-        if self.initial_block_len < 1:
+    def __init__(self, initial_block_len: int = 2, growth_ratio: int = 2, first_sign: int = 1):
+        if initial_block_len < 1:
             raise InvalidSpec("initial_block_len must be >= 1")
-        if self.growth_ratio < 2:
+        if growth_ratio < 2:
             raise InvalidSpec("growth_ratio must be >= 2")
-        if self.first_sign not in (-1, 1):
+        if first_sign not in (-1, 1):
             raise InvalidSpec("first_sign must be -1 or +1")
+        self._freeze(initial_block_len, growth_ratio, first_sign)
 
     def sign_at(self, k: int) -> int:
         """s_k for 1-based index k."""
@@ -195,22 +225,25 @@ def max_perturbation(base) -> float:
     return min(1.0, math.log(inf_modulus(base) / MIN_MODULUS))
 
 
-@dataclass(frozen=True)
-class PerturbedSequence:
+class PerturbedSequence(_Spec):
     """l_k(x) = exp(x * s_k) * eta_k over a base sequence eta."""
 
-    base: Constant | Periodic | Explicit | RandomAnnulus
-    schedule: SignSchedule = field(default_factory=SignSchedule)
-    x: float = 0.0
+    __slots__ = ("base", "schedule", "x")
 
-    def __post_init__(self):
-        if not math.isfinite(self.x):
-            raise InvalidSpec(f"perturbation x = {self.x} is not finite")
-        r = max_perturbation(self.base)
-        if abs(self.x) >= r:
+    def __init__(
+        self,
+        base: Constant | Periodic | Explicit | RandomAnnulus,
+        schedule: SignSchedule = SignSchedule(),
+        x: float = 0.0,
+    ):
+        if not math.isfinite(x):
+            raise InvalidSpec(f"perturbation x = {x} is not finite")
+        r = max_perturbation(base)
+        if abs(x) >= r:
             raise PerturbationTooLarge(
-                f"|x| = {abs(self.x):.6g} >= r = {r:.6g} for this base sequence"
+                f"|x| = {abs(x):.6g} >= r = {r:.6g} for this base sequence"
             )
+        self._freeze(base, schedule, x)
 
 
 SequenceSpec = Constant | Periodic | Explicit | RandomAnnulus | PerturbedSequence

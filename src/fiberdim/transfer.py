@@ -13,7 +13,7 @@ deduplicated point table per fiber (orbits.fiber_table).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ def logsumexp_grid(log_derivs: np.ndarray, t_grid) -> np.ndarray:
     return np.array(sums)
 
 
-@dataclass(frozen=True)
-class OperatorValue:
+class OperatorValue(NamedTuple):
     """log of the n-step operator sum at one exponent t."""
 
     t: float
@@ -74,8 +73,7 @@ def operator_power(
     return [OperatorValue(t, j, n, float(s), complex(anchor)) for t, s in zip(t_grid, sums)]
 
 
-@dataclass(frozen=True)
-class RhoEstimate:
+class RhoEstimate(NamedTuple):
     """Finite-depth surrogate for the conformal-measure eigenvalue at fiber j."""
 
     t: float
@@ -103,8 +101,7 @@ def rho_estimate(
     return RhoEstimate(t=float(t), j=j, value=math.exp(top - bottom), N=N)
 
 
-@dataclass(frozen=True)
-class ConformalAtoms:
+class ConformalAtoms(NamedTuple):
     """Atomic approximation of a fiber conformal measure.
 
     Atoms sit on the depth-(N-j) leaves of the pullback of the anchor; the

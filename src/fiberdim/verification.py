@@ -9,7 +9,7 @@ verify run is reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,7 @@ LOG2 = math.log(2.0)
 _MIN_DEPTH = 6  # the smallest depth at which every check's setup is defined
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

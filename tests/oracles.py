@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from fiberdim import at, boxcount, cesaro_sum, iter_leaf_blocks, leaf_log_derivs, orbits
+from fiberdim import at, cesaro_sum, iter_leaf_blocks, leaf_log_derivs, orbits
 from fiberdim.family import apply
 from fiberdim.sequences import PerturbedSequence
 from fiberdim.transfer import logsumexp_grid
@@ -173,17 +173,23 @@ def numpy_annulus_draw(seed, k, min_mod, max_mod):
     return complex(modulus * math.cos(argument), modulus * math.sin(argument))
 
 
+def set_occupancy(points, eps, offset):
+    """Occupied boxes as a Python set of (x, y) box indices; -0.0 and 0.0 are one index."""
+    ix = np.floor((points.real - offset[0]) / eps)
+    iy = np.floor((points.imag - offset[1]) / eps)
+    return len(set(zip(ix.tolist(), iy.tolist())))
+
+
 def numpy_box_dimension(points, eps_ladder, offsets=4, seed=0):
     """box_dimension's counts, slope and residual with its former grid offsets, drawn by
-    numpy's default_rng(seed).uniform(0.0, eps, size=2) for each offset at each scale."""
-    pts = boxcount._distinct(np.asarray(points, dtype=np.complex128).ravel())
+    numpy's default_rng(seed).uniform(0.0, eps, size=2) for each offset at each scale, and
+    each grid's occupancy counted by set_occupancy."""
+    pts = np.asarray(points, dtype=np.complex128).ravel()
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
     rng = np.random.default_rng(seed)
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):
-        per_offset = [
-            boxcount._occupancy(pts, eps, rng.uniform(0.0, eps, size=2)) for _ in range(offsets)
-        ]
+        per_offset = [set_occupancy(pts, eps, rng.uniform(0.0, eps, size=2)) for _ in range(offsets)]
         counts[i] = float(np.mean(per_offset))
     log_inv_eps, log_counts = np.log(1.0 / ladder), np.log(counts)
     slope, intercept = np.polyfit(log_inv_eps, log_counts, 1)

@@ -17,7 +17,7 @@ from fiberdim import (
 from fiberdim import boxcount, orbits
 from fiberdim.cli import main
 from fiberdim.pressure import WindowPressure
-from oracles import bisection_zero, numpy_box_dimension
+from oracles import bisection_zero, numpy_box_dimension, set_occupancy
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -135,6 +135,20 @@ def test_box_dimension_matches_the_numpy_offset_oracle(seed):
     assert got.residual == residual
 
 
+def test_occupancy_counts_signed_zero_indices_once_and_overwrites_its_buffers():
+    # -0.0 - 0.0 floors to box index -0.0 and 0.0 - 0.0 to 0.0: one box, not two
+    pts = np.array([complex(-0.0, 1.5), complex(0.0, 1.5), complex(1.5, -0.0), complex(1.5, 0.0)])
+    key, scratch = np.full(pts.size, np.nan + 1j), np.full(pts.size, np.nan)
+    assert boxcount._occupancy(pts, 1.0, (0.0, 0.0), key, scratch) == 2
+    cloud = boxcount._distinct(julia_cloud(Constant(50), 10).points)
+    key, scratch = np.empty(cloud.size, np.complex128), np.empty(cloud.size)
+    for eps in (1e-2, 1e-4, 1e-2):  # the sorted keys of one grid do not leak into the next
+        offset = (0.3 * eps, 0.7 * eps)
+        assert boxcount._occupancy(cloud, eps, offset, key, scratch) == set_occupancy(
+            cloud, eps, offset
+        )
+
+
 def test_seed_validation():
     cloud = segment_cloud()
     with pytest.raises(ValueError):  # as numpy's SeedSequence
@@ -208,7 +222,7 @@ def test_distinct_points_once_per_bit_pattern(monkeypatch):
     "spec", ["const:50", "random:seed=7,min=45,max=80", "periodic:55.1+20i,-60+30.5i"]
 )
 @pytest.mark.parametrize("depth,block_log2", [(12, 18), (16, 13)])  # (16, 13): 8 prefix blocks
-def test_run_length_box_count_matches_materialized(monkeypatch, spec, anchor, depth, block_log2):
+def test_distinct_points_box_count_matches_materialized(monkeypatch, spec, anchor, depth, block_log2):
     monkeypatch.setattr(orbits, "_BLOCK_LOG2", block_log2)
     seq = parse_sequence(spec)
     cloud = julia_cloud(seq, depth, anchor)

@@ -1,4 +1,7 @@
+import copy
+import itertools
 import math
+import pickle
 import random
 import struct
 
@@ -234,3 +237,105 @@ def test_sampled_large_indices_random_annulus():
     ks = np.unique(np.geomspace(1, 1_000_000, 200).astype(int))
     for k in ks:
         assert 42.0 <= abs(at(spec, int(k))) <= 60.0
+
+
+# ---------------------------------------------------------------- spec contract
+
+SPEC_REPRS = [
+    (Constant(50), "Constant(value=50)"),
+    (Periodic([50, 60 + 10j]), "Periodic(cycle=((50+0j), (60+10j)))"),
+    (Explicit((41, 42), 50), "Explicit(prefix=((41+0j), (42+0j)), tail=50)"),
+    (RandomAnnulus(7), "RandomAnnulus(seed=7, min_mod=45.0, max_mod=80.0)"),
+    (SignSchedule(3, 2, -1), "SignSchedule(initial_block_len=3, growth_ratio=2, first_sign=-1)"),
+    (
+        PerturbedSequence(Periodic((50,)), x=0.1),
+        "PerturbedSequence(base=Periodic(cycle=((50+0j),)), schedule=SignSchedule("
+        "initial_block_len=2, growth_ratio=2, first_sign=1), x=0.1)",
+    ),
+]
+SPECS = [spec for spec, _ in SPEC_REPRS]
+SPEC_IDS = [type(spec).__name__ for spec in SPECS]
+
+
+@pytest.mark.parametrize("spec, text", SPEC_REPRS, ids=SPEC_IDS)
+def test_spec_repr_is_the_dataclass_format(spec, text):
+    assert repr(spec) == text
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_equal_specs_are_equal_and_hash_equal(spec):
+    twin = eval(repr(spec), vars(sequences))  # a distinct object with equal fields
+    assert twin is not spec
+    assert twin == spec and not twin != spec
+    assert hash(twin) == hash(spec)
+    assert len({spec, twin}) == 1
+
+
+@pytest.mark.parametrize("spec, text", SPEC_REPRS, ids=SPEC_IDS)
+def test_specs_are_immutable(spec, text):
+    name = text.split("(", 1)[1].split("=", 1)[0]  # the first field
+    with pytest.raises(AttributeError):
+        setattr(spec, name, getattr(spec, name))
+    with pytest.raises(AttributeError):
+        delattr(spec, name)
+    with pytest.raises(AttributeError):
+        spec.other = 1  # no new attributes either
+    assert repr(spec) == text
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_specs_pickle_and_copy_to_equal_specs(spec):
+    assert pickle.loads(pickle.dumps(spec)) == spec
+    assert copy.copy(spec) == spec == copy.deepcopy(spec)
+
+
+def test_specs_of_other_types_never_compare_equal():
+    assert SignSchedule(2, 2, 1) != (2, 2, 1)
+    assert (2, 2, 1) != SignSchedule(2, 2, 1)
+    annulus = RandomAnnulus(7, 45.0, 80.0)
+    assert annulus != (7, 45.0, 80.0)
+    assert annulus != ((7, 45.0, 80.0),)
+    assert Constant(50) != Periodic((50,))
+    assert Constant(50) != PerturbedSequence(Constant(50))
+    for a, b in itertools.combinations(SPECS, 2):
+        assert a != b and b != a
+
+
+def test_annulus_draw_cache_hits_for_an_equal_spec():
+    sequences._annulus_draw.cache_clear()
+    first = at(RandomAnnulus(seed=11), 5)
+    hits = sequences._annulus_draw.cache_info().hits
+    assert at(RandomAnnulus(seed=11, min_mod=45.0, max_mod=80.0), 5) == first
+    assert sequences._annulus_draw.cache_info().hits == hits + 1
+
+
+def test_perturbed_sequence_defaults():
+    pert = PerturbedSequence(Constant(50))
+    assert pert.schedule == SignSchedule() == SignSchedule(2, 2, 1)
+    assert pert.x == 0.0
+    assert PerturbedSequence(base=Constant(50), schedule=SCHEDULE_2X2, x=0.1).x == 0.1
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: Constant(math.nan), InvalidSpec),
+        (lambda: Constant(40), InvalidSpec),
+        (lambda: Periodic(()), InvalidSpec),
+        (lambda: Periodic((50, complex(math.inf, 0))), InvalidSpec),
+        (lambda: Explicit((39,), 50), InvalidSpec),
+        (lambda: Explicit((50,), 40j), InvalidSpec),
+        (lambda: RandomAnnulus(seed=-1), InvalidSpec),
+        (lambda: RandomAnnulus(seed=2**64), InvalidSpec),
+        (lambda: RandomAnnulus(seed=1, min_mod=60, max_mod=50), InvalidSpec),
+        (lambda: RandomAnnulus(seed=1, min_mod=45, max_mod=math.inf), InvalidSpec),
+        (lambda: SignSchedule(0, 2, 1), InvalidSpec),
+        (lambda: SignSchedule(2, 1, 1), InvalidSpec),
+        (lambda: SignSchedule(2, 2, 0), InvalidSpec),
+        (lambda: PerturbedSequence(Constant(50), SCHEDULE_2X2, math.nan), InvalidSpec),
+        (lambda: PerturbedSequence(Constant(50), SCHEDULE_2X2, -0.3), PerturbationTooLarge),
+    ],
+)
+def test_spec_constructors_reject_bad_fields(make, error):
+    with pytest.raises(error):
+        make()

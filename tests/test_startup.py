@@ -44,9 +44,10 @@ def test_import_fiberdim_loads_no_submodule_and_no_numpy():
 def test_import_cli_compiles_no_verify_suite():
     code = "import sys, fiberdim.cli; print([m in sys.modules for m in "
     code += "('fiberdim.verification', 'fiberdim.transfer', 'fiberdim.experiments', "
-    code += "'multiprocessing')])"
-    # perturb keeps experiments eager; no subcommand starts a process pool
-    assert _python(code) == "[False, False, True, False]"
+    code += "'multiprocessing', 'dataclasses')])"
+    # perturb keeps experiments eager; no subcommand starts a process pool, and the
+    # records and specs are built without dataclasses
+    assert _python(code) == "[False, False, True, False, False]"
 
 
 def test_cli_sets_one_blas_thread_unless_preset():
