@@ -110,45 +110,46 @@ def _apply_config(argv: list[str]) -> list[str]:
                 raise ValueError(f"config line {raw.strip()!r} is not key=value")
             flag = "--" + key.strip().replace("_", "-")
             value = value.strip()
-            if value.lower() in ("true", "false"):
-                if value.lower() == "true":
-                    tokens.append(flag)
-            else:
+            if value.lower() == "true":
+                tokens.append(flag)
+            elif value.lower() != "false":
                 tokens.extend([flag, value])
     if not rest:
         raise ValueError("--config needs a subcommand")
     return [rest[0]] + tokens + rest[1:]
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
     parser = _Parser(prog="fiberdim", description=__doc__, epilog=GRAMMAR,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     # pressure and perturb keep --workers so that existing command lines still parse
     workers_help = "accepted and ignored: every run uses one process"
 
-    def common(p, seq_flag="--seq", anchor=True):
+    def add_parser(name, help, seq_flag="--seq", anchor=True):
+        p = sub.add_parser(name, help=help)
+        if command not in (None, name):  # only command's arguments (all with None) are built
+            return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
         p.add_argument(seq_flag, required=True, help="sequence spec string")
         if anchor:
             p.add_argument("--anchor", type=parse_complex, default=1 + 0j)
-        p.add_argument("--out", "-o", default=None, help="output CSV path (default stdout)")
+        if name not in ("motion", "verify"):  # those two print to stdout only
+            p.add_argument("--out", "-o", default=None, help="output CSV path (default stdout)")
         p.add_argument("--config", help="key=value defaults file (flags override)")
+        return p
 
-    p = sub.add_parser("julia", help="export the depth-n leaf cloud as CSV")
-    common(p)
+    p = add_parser("julia", "export the depth-n leaf cloud as CSV")
     p.add_argument("--depth", type=int, default=12)
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
 
-    p = sub.add_parser("pressure", help="finite-depth pressure matrix a_n(t) as CSV")
-    common(p)
+    p = add_parser("pressure", "finite-depth pressure matrix a_n(t) as CSV")
     p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--t", type=_grid, default="0:0.4:21")
     p.add_argument("--n", type=_int_pair, default="4:20")
     p.add_argument("--window", type=_int_pair, default=None)
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
 
-    p = sub.add_parser("dimension", help="windowed Bowen zeros, optional box-count check")
-    common(p)
+    p = add_parser("dimension", "windowed Bowen zeros, optional box-count check")
     p.add_argument("--window", type=_int_pair, default=(12, 20))
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--metric", choices=("planar", "spherical"), default="planar")
@@ -156,8 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--box-depth", type=int, default=18)
     p.add_argument("--box-out", default=None, help="optional eps,count CSV path")
 
-    p = sub.add_parser("perturb", help="kink or gap scan over a symmetric x grid")
-    common(p, "--base")
+    p = add_parser("perturb", "kink or gap scan over a symmetric x grid", "--base")
     p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.add_argument("--blocks", default="2x2", help="sign schedule AxB")
     p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
@@ -167,15 +167,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("kink", "gap"), default="kink")
     p.add_argument("--tol", type=float, default=None, help="gap mode only (default 1e-4)")
 
-    p = sub.add_parser("motion", help="leaf displacement and modulus-ratio bounds")
-    common(p, "--base")
+    p = add_parser("motion", "leaf displacement and modulus-ratio bounds", "--base")
     p.add_argument("--blocks", default="2x2")
     p.add_argument("--sign", type=int, default=1, choices=(-1, 1))
     p.add_argument("--x", type=float, default=0.05)
     p.add_argument("--depth", type=int, default=18)
 
-    p = sub.add_parser("verify", help="run the bundled invariant suite")
-    common(p, anchor=False)  # every check runs from the anchor 1
+    p = add_parser("verify", "run the bundled invariant suite", anchor=False)  # from anchor 1
     p.add_argument("--depth", type=int, default=14)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
@@ -315,7 +313,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
         argv = _apply_config(argv)
     except (OSError, ValueError) as exc:
@@ -323,7 +320,7 @@ def main(argv=None) -> int:
         print(GRAMMAR, file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv[0] if argv else "").parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,6 +35,7 @@ from .sequences import (
 
 _FLOAT_SLACK = 1e-9
 _MOTION_SLACK = 1e-12
+_GROUP = 3  # trees per kink table build; each one held adds ~0.2 MiB to its peak RSS
 
 
 class SandwichRow(NamedTuple):
@@ -77,7 +78,7 @@ def sandwich_check(
 
     Verifies, for every n <= n_max, the operator-level inequality above and
     the leaf-level form |log_deriv_pert - log_deriv_base - x S_n| <= n|x|/2
-    over all leaves: a_n from the fiber point tables (_kink_cell), the
+    over all leaves: a_n from the fiber point tables (_kink_cells), the
     leaves from the least and the largest same-word difference
     Δ = log_deriv_pert - log_deriv_base of each depth, read from the paired
     table of both trees.  A violation beyond float slack is a bug:
@@ -86,7 +87,7 @@ def sandwich_check(
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("sandwich_check requires a finite t > 0")
     pert = PerturbedSequence(base, schedule, x)
-    a_base, a_pert = (_kink_cell((seq, t, (1, n_max), anchor, j)).tolist() for seq in (base, pert))
+    a_base, a_pert = (a.tolist() for a in _kink_cells(([base, pert], t, (1, n_max), anchor, j)))
     low, high, _ = paired_table(base, pert, j, (1, n_max), anchor)  # over Δ and -Δ
     # signs entering fiber j are s_{j+1}, ..., s_{j+n}
     offset = cesaro_sum(schedule, j)[0] if j else 0
@@ -210,11 +211,11 @@ def _check_symmetric(x_grid: np.ndarray) -> np.ndarray:
     return grid
 
 
-def _kink_cell(args):
-    """a_n(t) for every n in the window, from one fiber point table."""
-    seq, t, window, anchor, j = args
-    sums = fiber_table(seq, j, window, anchor).log_sums([t])[:, 0]
-    return sums / np.arange(window[0], window[1] + 1)
+def _kink_cells(args):
+    """a_n(t) for every n in the window, one row per sequence, from one table of their group."""
+    seqs, t, window, anchor, j = args
+    sums = fiber_table(seqs, j, window, anchor).log_sums([t])[..., 0]
+    return list((sums / np.arange(window[0], window[1] + 1)[:, None]).T)
 
 
 def kink_scan(
@@ -230,20 +231,20 @@ def kink_scan(
 
     Every cell checks a_n(pert) = a_n(base) - t x S_n/n up to t|x|/2, and the
     row records the measured spread certificate
-    p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).
+    p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).  The tables
+    are built _GROUP trees at a time, one run_jobs job per group (orbits
+    docstring, groups); each cell has the bits of its tree's own table.
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("kink_scan requires a finite t > 0")
     grid = _check_symmetric(x_grid)
     w_lo, w_hi = int(window[0]), int(window[1])
-    n_values = list(range(w_lo, w_hi + 1))
-
     seqs = [base] + [PerturbedSequence(base, schedule, float(x)) for x in grid]
-    jobs = [(seq, float(t), (w_lo, w_hi), anchor, j) for seq in seqs]
-    a_base, *results = run_jobs(_kink_cell, jobs)
+    jobs = [(seqs[i : i + _GROUP], t, (w_lo, w_hi), anchor, j) for i in range(0, len(seqs), _GROUP)]
+    a_base, *results = [cell for cells in run_jobs(_kink_cells, jobs) for cell in cells]
     base_lower, base_upper = float(a_base.min()), float(a_base.max())
     offset = cesaro_sum(schedule, j)[0] if j else 0
-    ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in n_values])
+    ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in range(w_lo, w_hi + 1)])
     c_min, c_max = float(ratios.min()), float(ratios.max())
 
     rows = []

@@ -47,11 +47,9 @@ root per cell of the grid key (below), found by one stable argsort and a
 uint64 neighbour compare of the keys, as in the distinct levels.
 Branch-0 roots have Re > 0.88, so U and -U share no point.  Each point of
 P_k keeps the index c0 of its root in U, and c1 = c0 + |U| is that of its
-negative.  For n_min <= k - 1 the anchor is appended to P_{k-1} unless the
-point of its branch-0 root is the anchor, bit for bit (anchor 1 is its own
-root, but another root of its cell, with a tiny Im, can stand for it); a
-point that is only repeated moves no sum.  Level 1 keeps only its step
-logs.
+negative.  For n_min <= k - 1 the anchor is appended to P_{k-1}; a copy of
+a point (anchor 1 is its own root) joins its cell one level down and moves
+no sum.  Level 1 keeps only its step logs.
 
 The sweep runs upward.  For p in P_k let L_k(p) and H_k(p) be the least and
 largest log-derivative of the leaves of the depth-k tree from p at fiber j,
@@ -118,6 +116,15 @@ as least, ties to branch 0; a second sweep over -Δ names the largest leaf.
 Level 0, the roots of P_1 without anchor copies, holds every leaf pair up to
 a common sign.  No paired level has been seen over 3,451 pairs.
 
+Groups (fiber_table of a list): the kink scan builds its trees' tables a
+few at a time in one row, each point tagged with the index t of its tree, so
+a level makes one call of each step per group.  One stable argsort orders
+the row by (t, key) once the key's Re is scaled by 2**t: branch-0 roots have
+Re in (0.93, 1.06) (|w - 1| < 14/120, below), so the exactly scaled ranges
+of the trees are disjoint and equal scaled bits mean one tree and equal key
+bits.  Each tree keeps its order and representatives, and the sweep reads
+the anchors from an index array: every value has its one-tree table's bits.
+
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
 is log|l r| = (log|l| + log|l + 2p - 2|) / 2 and the spherical one adds
@@ -180,17 +187,18 @@ def _validate(n: int, anchor: complex) -> None:
         raise DomainError(f"anchor {anchor} lies outside the closed trapping disks")
 
 
-def _step_logs(l: complex, parents: np.ndarray, metric: str) -> np.ndarray:
+def _step_logs(l: complex, parents: np.ndarray, metric: str, logs=None) -> np.ndarray:
     """One-step log-derivatives at the branch-0 preimages of `parents`, from the parents alone.
 
-    The step-log identity of the module docstring: no root is taken.
+    The step-log identity of the module docstring: no root is taken.  In a group
+    of trees, l holds each parent's parameter and logs their |l| and log|l|.
     """
-    abs_l = abs(l)
+    abs_l, log_l = (abs(l), math.log(abs(l))) if logs is None else logs
     mag = 2.0 * parents
     mag += l - 2.0
     mag = np.abs(mag)  # |l + 2p - 2| = |l| |root|^2
     steps = np.log(mag)
-    steps += math.log(abs_l)
+    steps += log_l
     steps *= 0.5
     if metric == SPHERICAL:
         mag /= abs_l
@@ -232,7 +240,7 @@ def _grid_key(pts):
     return key
 
 
-def _level_below(ls, pts, grid=False):
+def _level_below(ls, pts, grid=False, tree=None):
     """The level below the stack pts under the maps ls, [U, -U], and each column's index in U.
 
     pts holds one row per tree.  U holds one column of branch-0 roots per group of
@@ -242,6 +250,8 @@ def _level_below(ls, pts, grid=False):
     for l, row in zip(ls, pts):
         _branch0_root(l, row)
     key = _grid_key(pts) if grid else pts
+    if tree is not None:  # a group of trees in one row: Re by 2**tree (module docstring)
+        np.ldexp(key.real, tree, out=key.real)
     if len(key) == 1:  # one tree: a 1-D sort, cheaper than lexsort
         order = np.argsort(key[0], kind="stable")
         bits = key[0][order].view(np.uint64)  # re, im, re, im, ...
@@ -330,7 +340,7 @@ class FiberTable:
     """
 
     def __init__(self, levels, steps_1, where, n_lo):
-        self._size, self._n_lo = steps_1.size, n_lo
+        self._size, self._n_lo, self._trees = steps_1.size, n_lo, np.shape(where)
         steps = [steps_1] + [level[0] for level in levels]
         self.step_log_min = min(float(s.min()) for s in steps)
         self.step_log_max = max(float(s.max()) for s in steps)
@@ -351,9 +361,9 @@ class FiberTable:
         self.leaf_log_min, self.leaf_log_max = (np.array(v[n_lo - 1 :]) for v in zip(*ends))
 
     def log_sums(self, t_grid) -> np.ndarray:
-        """log L^n 1(anchor) with one row per depth n_lo..n_hi and one column per t."""
+        """log L^n 1(anchor), one row per depth n_lo..n_hi (of a group: per tree), a column per t."""
         neg_t = -np.asarray(t_grid, dtype=np.float64)
-        weights_at = np.empty((len(self._plan) + 1, neg_t.size))
+        weights_at = np.empty((len(self._plan) + 1, neg_t.size, *self._trees))
         weights_at[0] = 2.0
         for i, t in enumerate(neg_t):  # S, one t at a time: no array holds a row per t
             weights = np.full(self._size, 2.0)
@@ -364,7 +374,8 @@ class FiberTable:
                 shifted += weights.take(c_min)
                 weights = shifted
                 weights_at[k, i] = weights[where]
-        return np.multiply.outer(self.leaf_log_min, neg_t) + np.log(weights_at[self._n_lo - 1 :])
+        weights_at = np.moveaxis(weights_at[self._n_lo - 1 :], 1, -1)  # of a group: t last
+        return np.multiply.outer(self.leaf_log_min, neg_t) + np.log(weights_at)
 
     def log_sums_slopes(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """The column of log_sums([t]), bit for bit, and its t-derivative -(L_n + D_n)."""
@@ -390,44 +401,54 @@ class FiberTable:
         return "0" + word  # the two leaves below P_1 tie (first-bit identity)
 
 
-def _fiber_table(seqs, j, n_range, anchor, metric):
-    """The build of the fiber point table of one tree, or of a pair (module docstring).
+def _fiber_table(seqs, j, n_range, anchor, metric, group=False):
+    """The build of the fiber point table of one tree, a pair or a group (module docstring).
 
-    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor in P_k),
-    the step logs of level 1 (of a pair: Δ), the anchor's index in P_1 and P_1, one row
-    per tree.  Below level n_lo the anchor is not kept, and the index is another point's.
+    Returns the levels k = n_hi..2 as (steps_k, c0, |U|, index of the anchor in P_k), the
+    step logs of level 1 (of a pair: Δ), the anchor's index in P_1 and P_1, one row per pair
+    member; a group's indices are arrays.  Below n_lo the index is another point's.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_min <= n_max")
     _validate(n_hi, anchor)
-    anchors = np.full((len(seqs), 1), complex(anchor))
-    key, pts, where, levels = anchors.tobytes(), anchors.copy(), 0, []
+    anchors, first, levels = np.full((len(seqs), 1), complex(anchor)), 0, []
+    if group:  # each point tagged with the index of its tree in seqs
+        anchors, first = anchors.T, np.arange(len(seqs), dtype=np.int32)
+    pts, where, tree = anchors.copy(), first, first if group else None
     for k in range(n_hi, 0, -1):  # l_{j+n_hi} first
-        ls = [at(seq, j + k) for seq in seqs]
-        steps = _step_logs(ls[-1], pts[-1], metric)
-        if len(seqs) == 2:
+        ls, logs = [at(seq, j + k) for seq in seqs], None
+        if group:  # per point: its tree's l, and |l| and log|l| taken as for one tree
+            logs = np.array([(abs(l), math.log(abs(l))) for l in ls]).T.take(tree, axis=1)
+            ls = [np.array(ls).take(tree)]
+        steps = _step_logs(ls[-1], pts[-1], metric, logs)
+        if len(pts) == 2:  # a pair: Δ
             steps -= _step_logs(ls[0], pts[0], metric)
         if k == 1:
             return levels, steps, where, pts
-        pts, c0 = _level_below(ls, pts, grid=True)
+        pts, c0 = _level_below(ls, pts, grid=True, tree=tree)
         levels.append((steps, c0, pts.shape[1] // 2, where))
-        where = int(c0[where])  # the point of the anchor's branch-0 root
-        if k > n_lo and pts[:, where].tobytes() != key:
-            where = pts.shape[1]
+        where = c0.take(where) if group else int(c0[where])  # the anchors' branch-0 roots
+        if group:  # the tree of each point of [U, -U], then of the anchors
+            below = np.empty(pts.shape[1] // 2, np.int32)
+            below[c0] = tree
+            tree = np.concatenate((below, below, first))[: pts.shape[1] + (k > n_lo) * len(seqs)]
+        if k > n_lo:  # a copy of a point joins its cell one level down and moves no sum
+            where = pts.shape[1] + first
             pts = np.concatenate((pts, anchors), axis=1)
 
 
 def fiber_table(
-    seq: SequenceSpec,
+    seq: SequenceSpec | list,
     j: int,
     n_range: tuple[int, int],
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
 ) -> FiberTable:
-    """The swept fiber point table of the depths in n_range."""
-    levels, steps_1, where, _ = _fiber_table([seq], j, n_range, anchor, metric)
-    return FiberTable(levels, steps_1, where, int(n_range[0]))
+    """The swept fiber point table of the depths in n_range; of a list, with an axis over it."""
+    group = isinstance(seq, list)
+    build = _fiber_table(seq if group else [seq], j, n_range, anchor, metric, group)[:3]
+    return FiberTable(*build, int(n_range[0]))  # P_1 is freed first
 
 
 def paired_table(base: SequenceSpec, pert: SequenceSpec, j: int, n_range, anchor=1.0 + 0.0j):
@@ -492,14 +513,10 @@ def julia_cloud(
     metric: str = PLANAR,
 ) -> JuliaCloud:
     """Materialize the 2**depth leaf points (word order) plus the resolution bound."""
-    pts_parts = []
-    lds_parts = []
-    for _, pts, lds in iter_leaf_blocks(seq, j, depth, anchor, metric):
-        pts_parts.append(pts)
-        lds_parts.append(lds)
+    blocks = list(iter_leaf_blocks(seq, j, depth, anchor, metric))
     return JuliaCloud(
-        points=np.concatenate(pts_parts),
-        log_derivs=np.concatenate(lds_parts),
+        points=np.concatenate([pts for _, pts, _ in blocks]),
+        log_derivs=np.concatenate([lds for _, _, lds in blocks]),
         seq_id=format_sequence(seq),
         fiber=j,
         depth=depth,

@@ -1,7 +1,19 @@
 import math
+import sys
+from pathlib import Path
+
+import pytest
 
 from fiberdim import cli, orbits
 from fiberdim.cli import main
+
+HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+COMMANDS = ("julia", "pressure", "dimension", "perturb", "motion", "verify")
+# each golden file's argv and exit code: the top-level and every subcommand's help,
+# an unknown command and none
+HELP_CASES = {"help": (["-h"], 0), "unknown": (["bogus"], 2), "none": ([], 2)} | {
+    f"help_{name}": ([name, "-h"], 0) for name in COMMANDS
+}
 
 
 def run(args):
@@ -269,3 +281,38 @@ def test_stdout_output(capsys):
     captured = capsys.readouterr()
     assert captured.out.startswith("word,re,im,log_deriv")
     assert "resolution bound" in captured.err
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse lays out help per version")
+@pytest.mark.parametrize("name", sorted(HELP_CASES))
+def test_help_and_command_errors_match_golden(name, monkeypatch, capsys):
+    # frozen at COLUMNS=80 while every run built all six subparsers; motion and
+    # verify have no --out since they write no file
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, code = HELP_CASES[name]
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out + captured.err == (HELP_GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([name, "-h"] for name in COMMANDS)])
+def test_one_subparser_prints_the_help_of_all(argv, monkeypatch, capsys):
+    # main builds the arguments of the command it runs only; the help is the same
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for command in (argv[0], None):
+        with pytest.raises(SystemExit):
+            cli._build_parser(command).parse_args(argv)
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0]
+
+
+@pytest.mark.parametrize("args", [["motion", "--base", "const:50", "--depth", "4"],
+                                  ["verify", "--seq", "const:50", "--depth", "6"]])
+@pytest.mark.parametrize("flag", ["-o", "--out"])
+def test_commands_that_write_no_file_reject_out(tmp_path, capsys, args, flag):
+    # motion and verify print to stdout only; an output path is a usage error
+    out = tmp_path / "F"
+    assert run([*args, flag, str(out)]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()

@@ -153,6 +153,42 @@ def test_paired_table_matches_the_oracles(monkeypatch, spec, anchor, j):
     assert (motion.max_displacement, motion.max_log_ratio) == want
 
 
+def _one_tree_cell(seq, t, window, anchor):
+    """a_n(t) over the window from the fiber point table of seq alone."""
+    sums = orbits.fiber_table(seq, 0, window, anchor).log_sums([t])[:, 0]
+    return sums / np.arange(window[0], window[1] + 1)
+
+
+@pytest.mark.parametrize("spec", ORACLE_BASES)
+@pytest.mark.parametrize("anchor", [1.0, -1.05 + 0.1j])
+@pytest.mark.parametrize("window", [(1, 12), (2, 20), (9, 9)])
+def test_grouped_kink_cells_are_bit_identical(spec, anchor, window):
+    # the kink scan's 22 cells from tables of groups of g trees, against one table
+    # per tree: every cell is the same to the bit for any g
+    base = parse_sequence(spec)
+    seqs = [base] + [PerturbedSequence(base, SCHEDULE, float(x)) for x in np.linspace(-0.1, 0.1, 21)]
+    want = [_one_tree_cell(seq, 0.18, window, anchor).view(np.uint64) for seq in seqs]
+    for g in (1, 2, 3, 22):
+        jobs = [(seqs[i : i + g], 0.18, window, anchor, 0) for i in range(0, len(seqs), g)]
+        got = [cell for job in jobs for cell in experiments._kink_cells(job)]
+        assert len(got) == len(want)
+        assert all(np.array_equal(a.view(np.uint64), b) for a, b in zip(got, want)), g
+
+
+def test_kink_scan_runs_its_groups_through_run_jobs(monkeypatch):
+    # one job per group of experiments._GROUP sequences, in order: the base, then x ascending
+    calls = []
+
+    def record(fn, args_list, workers=1):
+        calls.append([len(args[0]) for args in args_list])
+        return [fn(args) for args in args_list]
+
+    monkeypatch.setattr(experiments, "run_jobs", record)
+    kink_scan(CONST50, SCHEDULE, 0.18, np.linspace(-0.1, 0.1, 9), (2, 8))
+    g = experiments._GROUP
+    assert calls == [[g] * (10 // g) + [10 % g] * (10 % g > 0)]
+
+
 def test_paired_levels_stay_small():
     # real parameters from an off-axis anchor never share point bits: the pairs
     # merge on the grid key of both members, and no level grows past 2^13

@@ -149,6 +149,38 @@ def test_table_columns_change_no_bit_across_t():
         assert np.array_equal(table.log_sums_slopes(t_grid[k])[0], sums[:, k])
 
 
+@pytest.mark.parametrize("metric", ["planar", "spherical"])
+@pytest.mark.parametrize("anchor", [1.0, -1.0, -1.05 + 0.1j])
+def test_group_tables_match_one_tree_tables(metric, anchor):
+    # a table of a group of trees, sorted under one key, has each tree's sums
+    # and leaf extremes to the bit (const:50 from the anchor 1 is its own root)
+    seqs = [parse_sequence(spec) for spec in TABLE_SPECS]
+    for n_range in [(1, 12), (8, 20), (12, 12)]:
+        group = orbits.fiber_table(seqs, 2, n_range, anchor, metric)
+        sums = group.log_sums(TABLE_T)
+        assert sums.shape == (n_range[1] - n_range[0] + 1, len(seqs), len(TABLE_T))
+        for i, seq in enumerate(seqs):
+            one = orbits.fiber_table(seq, 2, n_range, anchor, metric)
+            for got, want in ((group.leaf_log_min[:, i], one.leaf_log_min),
+                              (group.leaf_log_max[:, i], one.leaf_log_max),
+                              (sums[:, i], one.log_sums(TABLE_T))):
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n_range, i)
+
+
+@pytest.mark.parametrize("modulus", [np.nextafter(40.0, 41.0), 41.0, 1e3, 1e9])
+def test_branch0_roots_keep_the_group_key_apart(modulus):
+    # the group tables scale a root's Re by 2**tree: exact, and the trees stay
+    # apart if every branch-0 root from the closed trapping disks has Re in
+    # (0.93, 1.06), so that the largest is under twice the least
+    theta = np.linspace(0.0, 2.0 * math.pi, 721)
+    rim = np.concatenate([center + np.exp(1j * theta) / 3.0 for center in (1.0, -1.0)])
+    for arg in np.linspace(0.0, 2.0 * math.pi, 73):
+        roots = rim.copy()
+        orbits._branch0_root(complex(modulus * np.exp(1j * arg)), roots)
+        assert 0.93 < roots.real.min() and roots.real.max() < 1.06
+        assert roots.real.max() < 2.0 * roots.real.min()
+
+
 # The grid key's certificate (orbits docstring): a depth-n leaf log-derivative
 # moves by less than MERGE_LIPSCHITZ[metric] * n * q when cells merge.
 MERGE_LIPSCHITZ = {"planar": 0.03, "spherical": 1.13}
