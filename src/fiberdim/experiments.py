@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SandwichViolation
-from .orbits import PLANAR, fiber_table, paired_table
+from .orbits import PLANAR, fiber_table, paired_table, parameter_rows
 from .parallel import run_jobs
 from .pressure import dimension_pair
 from .sequences import (
@@ -35,7 +35,7 @@ from .sequences import (
 
 _FLOAT_SLACK = 1e-9
 _MOTION_SLACK = 1e-12
-_GROUP = 3  # trees per kink table build; each one held adds ~0.2 MiB to its peak RSS
+_GROUP = 6  # trees per kink table build at most; each adds ~0.28 MiB to its traced peak
 
 
 class SandwichRow(NamedTuple):
@@ -231,17 +231,22 @@ def kink_scan(
 
     Every cell checks a_n(pert) = a_n(base) - t x S_n/n up to t|x|/2, and the
     row records the measured spread certificate
-    p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).  The tables
-    are built _GROUP trees at a time, one run_jobs job per group (orbits
-    docstring, groups); each cell has the bits of its tree's own table.
+    p_upper - p_lower >= t|x| * osc(S_n/n) - t|x| - (base spread).  Each bit
+    pattern of l_{j+1}, ..., l_{j+w_hi} is built once (x = 0 is the base's but on
+    const:50-0i: 1.0 * (50 - 0i) is 50 + 0i), in the fewest groups of at most _GROUP,
+    sizes differing by at most one, one run_jobs job each (orbits docstring, groups).
     """
     if not 0 < t < math.inf:  # also rejects NaN
         raise ValueError("kink_scan requires a finite t > 0")
     grid = _check_symmetric(x_grid)
     w_lo, w_hi = int(window[0]), int(window[1])
     seqs = [base] + [PerturbedSequence(base, schedule, float(x)) for x in grid]
-    jobs = [(seqs[i : i + _GROUP], t, (w_lo, w_hi), anchor, j) for i in range(0, len(seqs), _GROUP)]
-    a_base, *results = [cell for cells in run_jobs(_kink_cells, jobs) for cell in cells]
+    rows = parameter_rows(seqs, j, w_hi)
+    keys = {row.tobytes(): row for row in rows}  # one per distinct tree
+    groups = np.array_split(np.array(list(keys.values())), -(-len(keys) // _GROUP))
+    jobs = [(group, t, (w_lo, w_hi), anchor, j) for group in groups]
+    cells = dict(zip(keys, (cell for cells in run_jobs(_kink_cells, jobs) for cell in cells)))
+    a_base, *results = (cells[row.tobytes()] for row in rows)
     base_lower, base_upper = float(a_base.min()), float(a_base.max())
     offset = cesaro_sum(schedule, j)[0] if j else 0
     ratios = np.array([(cesaro_sum(schedule, j + n)[0] - offset) / n for n in range(w_lo, w_hi + 1)])

@@ -116,14 +116,15 @@ as least, ties to branch 0; a second sweep over -Δ names the largest leaf.
 Level 0, the roots of P_1 without anchor copies, holds every leaf pair up to
 a common sign.  No paired level has been seen over 3,451 pairs.
 
-Groups (fiber_table of a list): the kink scan builds its trees' tables a
-few at a time in one row, each point tagged with the index t of its tree, so
-a level makes one call of each step per group.  One stable argsort orders
-the row by (t, key) once the key's Re is scaled by 2**t: branch-0 roots have
-Re in (0.93, 1.06) (|w - 1| < 14/120, below), so the exactly scaled ranges
-of the trees are disjoint and equal scaled bits mean one tree and equal key
-bits.  Each tree keeps its order and representatives, and the sweep reads
-the anchors from an index array: every value has its one-tree table's bits.
+Groups (fiber_table of a list of specs or an array of their parameter_rows):
+the kink scan builds its trees' tables a few at a time in one row, each point
+tagged with the index t of its tree, so a level makes one call of each step
+per group.  One stable argsort orders the row by (t, key) once the key's Re
+is scaled by 2**t: branch-0 roots have Re in (0.93, 1.06) (|w - 1| < 14/120,
+below), so the scaled ranges of the trees are disjoint, equal scaled bits mean
+one tree and equal key bits, and U gathers the tags of its representatives.
+Each tree keeps its order and representatives, and the sweep reads the
+anchors from an index array: every value has its one-tree table's bits.
 
 Step logs without the root: the branch-0 preimage of p is r = sqrt(w),
 w = 1 + 2(p - 1)/l, and |r|^2 = |w| = |l + 2p - 2| / |l|, so the planar step
@@ -274,7 +275,7 @@ def _level_below(ls, pts, grid=False, tree=None):
     level = np.empty((len(pts), 2 * half), np.complex128)  # branch-0 roots have Re > 0.88
     np.take(pts, order, axis=1, out=level[:, :half], mode="clip")  # unbuffered
     np.negative(level[:, :half], out=level[:, half:])
-    return level, index
+    return (level, index) if tree is None else (level, index, tree.take(order))
 
 
 def iter_leaf_blocks(
@@ -412,12 +413,13 @@ def _fiber_table(seqs, j, n_range, anchor, metric, group=False):
     if not 1 <= n_lo <= n_hi:
         raise ValueError("need 1 <= n_min <= n_max")
     _validate(n_hi, anchor)
-    anchors, first, levels = np.full((len(seqs), 1), complex(anchor)), 0, []
-    if group:  # each point tagged with the index of its tree in seqs
-        anchors, first = anchors.T, np.arange(len(seqs), dtype=np.int32)
+    rows = seqs if isinstance(seqs, np.ndarray) else parameter_rows(seqs, j, n_hi)
+    anchors, first, levels = np.full((len(rows), 1), complex(anchor)), 0, []
+    if group:  # each point tagged with the index of its tree in rows
+        anchors, first = anchors.T, np.arange(len(rows), dtype=np.int32)
     pts, where, tree = anchors.copy(), first, first if group else None
     for k in range(n_hi, 0, -1):  # l_{j+n_hi} first
-        ls, logs = [at(seq, j + k) for seq in seqs], None
+        ls, logs = rows[:, k - 1].tolist(), None
         if group:  # per point: its tree's l, and |l| and log|l| taken as for one tree
             logs = np.array([(abs(l), math.log(abs(l))) for l in ls]).T.take(tree, axis=1)
             ls = [np.array(ls).take(tree)]
@@ -426,27 +428,30 @@ def _fiber_table(seqs, j, n_range, anchor, metric, group=False):
             steps -= _step_logs(ls[0], pts[0], metric)
         if k == 1:
             return levels, steps, where, pts
-        pts, c0 = _level_below(ls, pts, grid=True, tree=tree)
+        pts, c0, *below = _level_below(ls, pts, grid=True, tree=tree)
         levels.append((steps, c0, pts.shape[1] // 2, where))
         where = c0.take(where) if group else int(c0[where])  # the anchors' branch-0 roots
         if group:  # the tree of each point of [U, -U], then of the anchors
-            below = np.empty(pts.shape[1] // 2, np.int32)
-            below[c0] = tree
-            tree = np.concatenate((below, below, first))[: pts.shape[1] + (k > n_lo) * len(seqs)]
+            tree = np.concatenate((*below, *below, first))[: pts.shape[1] + (k > n_lo) * len(rows)]
         if k > n_lo:  # a copy of a point joins its cell one level down and moves no sum
             where = pts.shape[1] + first
             pts = np.concatenate((pts, anchors), axis=1)
 
 
+def parameter_rows(seqs, j: int, n: int) -> np.ndarray:
+    """l_{j+1}, ..., l_{j+n} of each spec, one row per spec (the bits of at)."""
+    return np.array([[at(seq, k) for k in range(j + 1, j + n + 1)] for seq in seqs], np.complex128)
+
+
 def fiber_table(
-    seq: SequenceSpec | list,
+    seq: SequenceSpec | list | np.ndarray,
     j: int,
     n_range: tuple[int, int],
     anchor: complex = 1.0 + 0.0j,
     metric: str = PLANAR,
 ) -> FiberTable:
-    """The swept fiber point table of the depths in n_range; of a list, with an axis over it."""
-    group = isinstance(seq, list)
+    """The swept fiber point table of the depths in n_range; of a group, with an axis over it."""
+    group = isinstance(seq, (list, np.ndarray))
     build = _fiber_table(seq if group else [seq], j, n_range, anchor, metric, group)[:3]
     return FiberTable(*build, int(n_range[0]))  # P_1 is freed first
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from fiberdim import (
     sandwich_check,
 )
 from fiberdim import RandomAnnulus, experiments, orbits, parse_sequence
+from fiberdim.cli import main
 from fiberdim.sequences import PerturbedSequence
 from oracles import per_depth_sandwich, zipped_motion
 
 CONST50 = Constant(50)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SCHEDULE = SignSchedule(2, 2, 1)
 
 
@@ -164,29 +167,92 @@ def _one_tree_cell(seq, t, window, anchor):
 @pytest.mark.parametrize("window", [(1, 12), (2, 20), (9, 9)])
 def test_grouped_kink_cells_are_bit_identical(spec, anchor, window):
     # the kink scan's 22 cells from tables of groups of g trees, against one table
-    # per tree: every cell is the same to the bit for any g
+    # per tree: every cell is the same to the bit for any g, and for the unequal
+    # groups (5, 5, 5, 6) of the scan's 21 distinct trees, given as parameter rows
     base = parse_sequence(spec)
     seqs = [base] + [PerturbedSequence(base, SCHEDULE, float(x)) for x in np.linspace(-0.1, 0.1, 21)]
     want = [_one_tree_cell(seq, 0.18, window, anchor).view(np.uint64) for seq in seqs]
-    for g in (1, 2, 3, 22):
+    for g in (1, 2, 3, 5, 6, 7, 22):
         jobs = [(seqs[i : i + g], 0.18, window, anchor, 0) for i in range(0, len(seqs), g)]
         got = [cell for job in jobs for cell in experiments._kink_cells(job)]
         assert len(got) == len(want)
         assert all(np.array_equal(a.view(np.uint64), b) for a, b in zip(got, want)), g
+    distinct = seqs[:11] + seqs[12:]  # seqs[11] is x = 0, the base's parameters
+    rows = orbits.parameter_rows(distinct, 0, window[1])
+    cuts = [0, 5, 10, 15, 21]
+    jobs = [(rows[a:b], 0.18, window, anchor, 0) for a, b in zip(cuts, cuts[1:])]
+    got = [cell for job in jobs for cell in experiments._kink_cells(job)]
+    assert all(np.array_equal(a.view(np.uint64), b) for a, b in zip(got, want[:11] + want[12:]))
 
 
-def test_kink_scan_runs_its_groups_through_run_jobs(monkeypatch):
-    # one job per group of experiments._GROUP sequences, in order: the base, then x ascending
-    calls = []
+def _record_kink_groups(monkeypatch):
+    """The parameter rows of each group that reaches experiments._kink_cells, in call order."""
+    groups, cells = [], experiments._kink_cells
+
+    def record(args):
+        groups.append(args[0])
+        return cells(args)
+
+    monkeypatch.setattr(experiments, "_kink_cells", record)
+    return groups
+
+
+@pytest.mark.parametrize("points, trees", [(3, 3), (8, 9), (9, 9), (21, 21), (23, 23)])
+def test_kink_scan_runs_balanced_groups_through_run_jobs(monkeypatch, points, trees):
+    # one run_jobs job per group, in order: the distinct trees (the base, then x
+    # ascending but the middle x) in the fewest groups of at most experiments._GROUP,
+    # with sizes differing by at most one.  The middle x of 23 points is 1.4e-17,
+    # where exp(x s_k) rounds to 1: the base's parameters, so the base's tree
+    calls, groups = [], _record_kink_groups(monkeypatch)
 
     def record(fn, args_list, workers=1):
         calls.append([len(args[0]) for args in args_list])
         return [fn(args) for args in args_list]
 
     monkeypatch.setattr(experiments, "run_jobs", record)
-    kink_scan(CONST50, SCHEDULE, 0.18, np.linspace(-0.1, 0.1, 9), (2, 8))
-    g = experiments._GROUP
-    assert calls == [[g] * (10 // g) + [10 % g] * (10 % g > 0)]
+    grid = np.linspace(-0.1, 0.1, points)
+    kink_scan(CONST50, SCHEDULE, 0.18, grid, (2, 8))
+    (sizes,) = calls
+    assert sum(sizes) == trees and len(sizes) == -(-trees // experiments._GROUP)
+    assert max(sizes) <= experiments._GROUP and max(sizes) - min(sizes) <= 1
+    seqs = [CONST50] + [PerturbedSequence(CONST50, SCHEDULE, float(x)) for x in grid if abs(x) > 1e-16]
+    want = orbits.parameter_rows(seqs, 0, 8)
+    assert np.array_equal(np.concatenate(groups).view(np.uint64), want.view(np.uint64))
+
+
+def test_kink_scan_builds_the_base_tree_once(monkeypatch):
+    # x = 0 gives the base's parameters bit for bit, so an odd grid builds one
+    # tree fewer than it has rows, and its x = 0 row reads the base's cells
+    groups = _record_kink_groups(monkeypatch)
+    scan = kink_scan(CONST50, SCHEDULE, 0.18, np.linspace(-0.1, 0.1, 9), (2, 12))
+    assert sum(map(len, groups)) == 9
+    zero = _one_tree_cell(PerturbedSequence(CONST50, SCHEDULE, 0.0), 0.18, (2, 12), 1.0)
+    base = _one_tree_cell(CONST50, 0.18, (2, 12), 1.0)
+    assert np.array_equal(zero.view(np.uint64), base.view(np.uint64))
+    center = scan.rows[4]
+    assert center.x == 0.0
+    got = np.array([center.p_lower, center.p_upper, center.sandwich_slack]).view(np.uint64)
+    assert np.array_equal(got, np.array([base.min(), base.max(), 0.0]).view(np.uint64))
+
+
+def test_kink_scan_builds_every_tree_of_an_even_grid(monkeypatch):
+    groups = _record_kink_groups(monkeypatch)
+    kink_scan(CONST50, SCHEDULE, 0.18, np.linspace(-0.1, 0.1, 8), (2, 12))
+    assert sum(map(len, groups)) == 9
+
+
+def test_kink_scan_keeps_a_signed_zero_tree_apart(monkeypatch, tmp_path, capsys):
+    # const:50-0i has l = 50 - 0i, and its x = 0 tree l = 1.0 * (50 - 0i) = 50 + 0i:
+    # different bits, so both trees are built; stdout and CSV frozen from the
+    # scan that built every row's tree
+    groups = _record_kink_groups(monkeypatch)
+    out = tmp_path / "kink.csv"
+    assert main(["perturb", "--mode", "kink", "--base", "const:50-0i", "--x=-0.1:0.1:5",
+                 "--window", "2:12", "-o", str(out)]) == 0
+    assert sum(map(len, groups)) == 6
+    want = GOLDEN / "kink_const50-0i"
+    assert capsys.readouterr().out == (want / "stdout.txt").read_text()
+    assert out.read_bytes() == (want / "kink.csv").read_bytes()
 
 
 def test_paired_levels_stay_small():
