@@ -167,8 +167,8 @@ def _one_tree_cell(seq, t, window, anchor):
 @pytest.mark.parametrize("window", [(1, 12), (2, 20), (9, 9)])
 def test_grouped_kink_cells_are_bit_identical(spec, anchor, window):
     # the kink scan's 22 cells from tables of groups of g trees, against one table
-    # per tree: every cell is the same to the bit for any g, and for the unequal
-    # groups (5, 5, 5, 6) of the scan's 21 distinct trees, given as parameter rows
+    # per tree: every cell is the same to the bit for any g, and for an unequal
+    # split (5, 5, 5, 6) of the scan's 21 distinct trees, given as parameter rows
     base = parse_sequence(spec)
     seqs = [base] + [PerturbedSequence(base, SCHEDULE, float(x)) for x in np.linspace(-0.1, 0.1, 21)]
     want = [_one_tree_cell(seq, 0.18, window, anchor).view(np.uint64) for seq in seqs]
@@ -198,11 +198,12 @@ def _record_kink_groups(monkeypatch):
 
 
 @pytest.mark.parametrize("points, trees", [(3, 3), (8, 9), (9, 9), (21, 21), (23, 23)])
-def test_kink_scan_runs_balanced_groups_through_run_jobs(monkeypatch, points, trees):
+def test_kink_scan_runs_its_groups_through_run_jobs(monkeypatch, points, trees):
     # one run_jobs job per group, in order: the distinct trees (the base, then x
-    # ascending but the middle x) in the fewest groups of at most experiments._GROUP,
-    # with sizes differing by at most one.  The middle x of 23 points is 1.4e-17,
-    # where exp(x s_k) rounds to 1: the base's parameters, so the base's tree
+    # ascending but the middle x of an odd grid) in the fewest groups of at most
+    # experiments._GROUP, with sizes differing by at most one; an even grid builds
+    # every tree.  The middle x of 23 points is 1.4e-17, where exp(x s_k) rounds
+    # to 1: the base's parameters, so the base's tree
     calls, groups = [], _record_kink_groups(monkeypatch)
 
     def record(fn, args_list, workers=1):
@@ -233,12 +234,6 @@ def test_kink_scan_builds_the_base_tree_once(monkeypatch):
     assert center.x == 0.0
     got = np.array([center.p_lower, center.p_upper, center.sandwich_slack]).view(np.uint64)
     assert np.array_equal(got, np.array([base.min(), base.max(), 0.0]).view(np.uint64))
-
-
-def test_kink_scan_builds_every_tree_of_an_even_grid(monkeypatch):
-    groups = _record_kink_groups(monkeypatch)
-    kink_scan(CONST50, SCHEDULE, 0.18, np.linspace(-0.1, 0.1, 8), (2, 12))
-    assert sum(map(len, groups)) == 9
 
 
 def test_kink_scan_keeps_a_signed_zero_tree_apart(monkeypatch, tmp_path, capsys):
