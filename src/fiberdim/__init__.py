@@ -17,7 +17,6 @@ _EXPORTS = {
         "BoxCountReport",
         "box_dimension",
         "cloud_ladder",
-        "default_ladder",
         "write_boxcount_csv",
     ),
     "errors": (

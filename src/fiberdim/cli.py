@@ -23,15 +23,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from .boxcount import box_dimension, check_sample_size, cloud_ladder, write_boxcount_csv
-from .errors import (
-    BracketFailure,
-    DepthLimit,
-    DomainError,
-    InvalidSpec,
-    PerturbationTooLarge,
-    ResolutionError,
-    SandwichViolation,
-)
+from .errors import BracketFailure, DepthLimit, SandwichViolation
 from .experiments import (
     gap_scan,
     kink_scan,
@@ -91,14 +83,24 @@ def _open_out(path: str | None):
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice key=value pairs from a --config file in front of explicit flags."""
-    if "--config" not in argv:
+    """Splice key=value pairs from a --config file in front of explicit flags.
+
+    The file is named once, as `--config PATH`, `--config=PATH` or an
+    abbreviation argparse would also expand (--conf), and names no other.
+    """
+    flags = [arg.partition("=")[0] for arg in argv]
+    spots = [i for i, flag in enumerate(flags) if len(flag) > 2 and "--config".startswith(flag)]
+    if not spots:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        raise ValueError("--config requires a path")
-    path = argv[idx + 1]
-    rest = argv[:idx] + argv[idx + 2 :]
+    if len(spots) > 1:
+        raise ValueError("--config given more than once")
+    idx = spots[0]
+    _, inline, path = argv[idx].partition("=")
+    if not inline:
+        if idx + 1 >= len(argv):
+            raise ValueError("--config requires a path")
+        path = argv[idx + 1]
+    rest = argv[:idx] + argv[idx + (1 if inline else 2) :]
     tokens: list[str] = []
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -109,6 +111,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             if not sep:
                 raise ValueError(f"config line {raw.strip()!r} is not key=value")
             flag = "--" + key.strip().replace("_", "-")
+            if len(flag) > 2 and "--config".startswith(flag):  # argparse would drop it unread
+                raise ValueError(f"config line {raw.strip()!r} names another config file")
             value = value.strip()
             if value.lower() == "true":
                 tokens.append(flag)
@@ -325,14 +329,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidSpec, PerturbationTooLarge, DomainError, DepthLimit, ValueError) as exc:
+    except (DepthLimit, ValueError) as exc:  # InvalidSpec, ResolutionError, ... are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         print(GRAMMAR, file=sys.stderr)
         return 2
     except OSError as exc:  # an output path that cannot be opened
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BracketFailure, SandwichViolation, ResolutionError) as exc:
+    except (BracketFailure, SandwichViolation) as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,6 @@ from .sequences import (
     cesaro_sum,
     delta,
     delta_linear_bound,
-    format_sequence,
 )
 
 _FLOAT_SLACK = 1e-9
@@ -47,7 +46,6 @@ class SandwichRow(NamedTuple):
 
 
 class PerturbationReport(NamedTuple):
-    base_id: str
     schedule: SignSchedule
     x: float
     t: float
@@ -108,7 +106,6 @@ def sandwich_check(
                 n, word, f"(operator slack {residual:.3e}, leaf slack {slack:.3e})"
             )
     return PerturbationReport(
-        base_id=format_sequence(base),
         schedule=schedule,
         x=float(x),
         t=float(t),
@@ -177,7 +174,6 @@ class KinkRow(NamedTuple):
 
 
 class KinkScan(NamedTuple):
-    base_id: str
     schedule: SignSchedule
     t: float
     window: tuple[int, int]
@@ -269,7 +265,6 @@ def kink_scan(
             )
         )
     return KinkScan(
-        base_id=format_sequence(base),
         schedule=schedule,
         t=float(t),
         window=(w_lo, w_hi),
@@ -295,19 +290,12 @@ class GapRow(NamedTuple):
 
 
 class GapScan(NamedTuple):
-    base_id: str
     schedule: SignSchedule
     window: tuple[int, int]
     tol: float
     step_log_min: float  # log gamma_emp, measured one-step extremes of the base tree
     step_log_max: float  # log A_emp
     rows: tuple[GapRow, ...]
-
-    def gap(self, x: float) -> float:
-        for r in self.rows:
-            if r.x == x:
-                return r.h_upper - r.h_lower
-        raise KeyError(f"x={x} not in scan grid")
 
     def passed(self) -> bool:
         return all(r.h_lower <= r.h_upper for r in self.rows)
@@ -358,7 +346,6 @@ def gap_scan(
             )
         )
     return GapScan(
-        base_id=format_sequence(base),
         schedule=schedule,
         window=w,
         tol=float(tol),

@@ -65,10 +65,9 @@ def inverse_branch(l: complex, w, label: int):
     return complex(result) if np.ndim(w) == 0 else result
 
 
-def in_trap_union(z, closed: bool = True) -> bool:
-    """Whether z lies in U_0 union U_1 (closed disks by default)."""
-    cmp = (lambda a, b: a <= b) if closed else (lambda a, b: a < b)
-    return bool(cmp(abs(z - CENTER_0), TRAP_RADIUS) or cmp(abs(z - CENTER_1), TRAP_RADIUS))
+def in_trap_union(z) -> bool:
+    """Whether z lies in the closed disks U_0 union U_1."""
+    return bool(abs(z - CENTER_0) <= TRAP_RADIUS or abs(z - CENTER_1) <= TRAP_RADIUS)
 
 
 class CertificateReport(NamedTuple):
@@ -79,13 +78,6 @@ class CertificateReport(NamedTuple):
     radicand_bound: float
     margin: float
     reason: str
-
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return (
-            f"trapping certificate l={self.l}: {status} "
-            f"(radicand bound {self.radicand_bound:.6g}, margin {self.margin:.6g}) {self.reason}"
-        )
 
 
 def trapping_certificate(l: complex) -> CertificateReport:

@@ -159,7 +159,7 @@ import numpy as np
 
 from .errors import DepthLimit, DomainError
 from .family import EXPANSION_FLOOR, apply, in_trap_union
-from .sequences import SequenceSpec, at, format_sequence
+from .sequences import SequenceSpec, at
 
 _DEFAULT_DEPTH_LIMIT = 26
 _BLOCK_LOG2 = 18  # leaves per streamed block cap (4 MiB of complex128)
@@ -503,7 +503,6 @@ class JuliaCloud(NamedTuple):
 
     points: np.ndarray
     log_derivs: np.ndarray
-    seq_id: str
     fiber: int
     depth: int
     anchor: complex
@@ -522,7 +521,6 @@ def julia_cloud(
     return JuliaCloud(
         points=np.concatenate([pts for _, pts, _ in blocks]),
         log_derivs=np.concatenate([lds for _, _, lds in blocks]),
-        seq_id=format_sequence(seq),
         fiber=j,
         depth=depth,
         anchor=complex(anchor),

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import BracketFailure, UnreachableTolerance
 from .family import EXPANSION_FLOOR
 from .orbits import PLANAR, fiber_table
-from .sequences import SequenceSpec, format_sequence
+from .sequences import SequenceSpec
 
 LOG2 = math.log(2.0)
 _SLOPE_FLOOR = math.log(EXPANSION_FLOOR)
@@ -51,7 +51,6 @@ _ROUNDING_ULPS = 4  # ulps of max |a_n| at the bracket ends: the least tol zero(
 class PressureCurve(NamedTuple):
     """Matrix a_n(t) over a depth range and t grid, plus windowed envelopes."""
 
-    seq_id: str
     t_grid: np.ndarray
     n_values: np.ndarray
     values: np.ndarray  # shape (len(n_values), len(t_grid))
@@ -62,9 +61,6 @@ class PressureCurve(NamedTuple):
     upper: np.ndarray  # max over window depths, per t
     leaf_log_min: np.ndarray  # per n
     leaf_log_max: np.ndarray  # per n
-
-    def row(self, n: int) -> np.ndarray:
-        return self.values[int(np.where(self.n_values == n)[0][0])]
 
 
 def default_window(n_min: int, n_max: int) -> tuple[int, int]:
@@ -102,7 +98,6 @@ def pressure_curve(
     values = table.log_sums(t_grid) / n_values[:, None]
     mask = (n_values >= w_lo) & (n_values <= w_hi)
     return PressureCurve(
-        seq_id=format_sequence(seq),
         t_grid=t_grid,
         n_values=n_values,
         values=values,
@@ -161,10 +156,9 @@ class WindowPressure:
         """Root the windowed estimate to residual <= tol by safeguarded Newton steps.
 
         which="lower" roots min_n a_n (Hausdorff side), which="upper" roots
-        max_n a_n (packing side); bowen_zero and dimension_pair check which
-        and tol before any tree is built.  The starting bracket
-        [n log2/maxL, n log2/minL] straddles zero by the operator-value
-        bracket; an end value within _ROUNDING_ULPS ulps of log 2, the
+        max_n a_n (packing side); tol must be finite and > 0.  The starting
+        bracket [n log2/maxL, n log2/minL] straddles zero by the
+        operator-value bracket; an end value within _ROUNDING_ULPS ulps of log 2, the
         rounding of the terms -t L_n/n and log S_n/n, counts as 0 (a_1 can
         round to +1.1e-16 at its analytic right end).  Each step is taken
         from the bracket's left end, where the estimate is positive, so by
@@ -179,6 +173,10 @@ class WindowPressure:
         of a_n still cannot reach raises it once no float lies strictly
         inside the bracket.
         """
+        if which not in ("lower", "upper"):
+            raise ValueError("which must be 'lower' or 'upper'")
+        if not 0 < tol < math.inf:  # also rejects NaN
+            raise ValueError("tol must be finite and > 0")
 
         def envelope(t: float) -> tuple[float, float]:
             # the estimate at t and the Newton point of its supporting row(s)
@@ -244,10 +242,6 @@ def bowen_zero(
     metric: str = PLANAR,
 ) -> BowenZero:
     """Root the windowed pressure estimate to residual <= tol (see WindowPressure.zero)."""
-    if which not in ("lower", "upper"):
-        raise ValueError("which must be 'lower' or 'upper'")
-    if not 0 < tol < math.inf:  # also rejects NaN
-        raise ValueError("tol must be finite and > 0")
     return WindowPressure(seq, window, j, anchor, metric).zero(which, tol)
 
 
@@ -260,8 +254,6 @@ def dimension_pair(
     metric: str = PLANAR,
 ) -> tuple[BowenZero, BowenZero]:
     """(lower, upper) windowed Bowen zeros of one cache; lower.t_star <= upper.t_star always."""
-    if not 0 < tol < math.inf:  # checked before any tree is built, as in bowen_zero
-        raise ValueError("tol must be finite and > 0")
     cache = WindowPressure(seq, window, j, anchor, metric)
     return cache.zero("lower", tol), cache.zero("upper", tol)
 

@@ -180,13 +180,13 @@ def set_occupancy(points, eps, offset):
     return len(set(zip(ix.tolist(), iy.tolist())))
 
 
-def numpy_box_dimension(points, eps_ladder, offsets=4, seed=0):
+def numpy_box_dimension(points, eps_ladder, offsets=4):
     """box_dimension's counts, slope and residual with its former grid offsets, drawn by
-    numpy's default_rng(seed).uniform(0.0, eps, size=2) for each offset at each scale, and
+    numpy's default_rng(0).uniform(0.0, eps, size=2) for each offset at each scale, and
     each grid's occupancy counted by set_occupancy."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):
         per_offset = [set_occupancy(pts, eps, rng.uniform(0.0, eps, size=2)) for _ in range(offsets)]

@@ -1,4 +1,3 @@
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +8,6 @@ from fiberdim import (
     ResolutionError,
     box_dimension,
     cloud_ladder,
-    default_ladder,
     julia_cloud,
     parse_sequence,
     resolution_bound,
@@ -82,20 +80,19 @@ def test_resolution_guard():
 
 
 def test_input_validation():
+    ladder = np.geomspace(0.4, 0.004, 11)
     with pytest.raises(ValueError):
-        box_dimension(segment_cloud(count=100))
+        box_dimension(segment_cloud(count=100), ladder)
     with pytest.raises(ValueError):
-        box_dimension(np.append(segment_cloud(), np.nan))
+        box_dimension(np.append(segment_cloud(), np.nan), ladder)
     with pytest.raises(ValueError):
         box_dimension(segment_cloud(), np.geomspace(0.5, 0.05, 5))  # one decade only
     for offsets in (0, -1):  # np.mean of no counts would give NaN
         with pytest.raises(ValueError, match="grid offset"):
-            box_dimension(segment_cloud(), offsets=offsets)
+            box_dimension(segment_cloud(), ladder, offsets=offsets)
 
 
-def test_default_and_cloud_ladders():
-    ladder = default_ladder()
-    assert ladder[0] / ladder[-1] >= 100.0
+def test_cloud_ladder():
     tied = cloud_ladder(resolution=1e-20)
     assert tied[-1] >= 1e-14
     assert tied[0] / tied[-1] >= 100.0
@@ -103,33 +100,28 @@ def test_default_and_cloud_ladders():
     assert coarse[-1] >= 1e-4
 
 
-def test_deterministic_given_seed():
+def test_deterministic():
     cloud = ifs_cloud(1 / 3, 12)
-    a = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9), seed=5)
-    b = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9), seed=5)
+    a = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9))
+    b = box_dimension(cloud, np.geomspace(0.3, 1e-4, 9))
     assert a.slope == b.slope
     assert np.array_equal(a.counts, b.counts)
 
 
-@pytest.mark.parametrize(
-    "seed",
-    [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 12345],  # 2**200: entropy beyond the 4-word pool
-)
-def test_offset_draws_match_numpy_default_rng(seed):
-    # per scale, per offset, Re then Im: the doubles of default_rng(seed).uniform(0.0, eps, size=2)
-    draws, rng = boxcount._offset_draws(seed), np.random.default_rng(seed)
-    for eps in default_ladder(count=25):
+def test_offset_draws_match_numpy_default_rng():
+    # per scale, per offset, Re then Im: the doubles of default_rng(0).uniform(0.0, eps, size=2)
+    draws, rng = boxcount._offset_draws(), np.random.default_rng(0)
+    for eps in np.geomspace(1e-2, 1e-13, 25):
         for _ in range(4):
             got = np.array([0.0 + eps * next(draws), 0.0 + eps * next(draws)])
             assert got.tobytes() == rng.uniform(0.0, eps, size=2).tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**40 + 1])
-def test_box_dimension_matches_the_numpy_offset_oracle(seed):
+def test_box_dimension_matches_the_numpy_offset_oracle():
     cloud = julia_cloud(Constant(50), 12)
     ladder = cloud_ladder(cloud.resolution)
-    got = box_dimension(cloud.points, ladder, min_scale=cloud.resolution, seed=seed)
-    counts, slope, residual = numpy_box_dimension(cloud.points, ladder, seed=seed)
+    got = box_dimension(cloud.points, ladder, min_scale=cloud.resolution)
+    counts, slope, residual = numpy_box_dimension(cloud.points, ladder)
     assert np.array_equal(got.counts, counts)
     assert got.slope == slope
     assert got.residual == residual
@@ -147,20 +139,6 @@ def test_occupancy_counts_signed_zero_indices_once_and_overwrites_its_buffers():
         assert boxcount._occupancy(cloud, eps, offset, key, scratch) == set_occupancy(
             cloud, eps, offset
         )
-
-
-def test_seed_validation():
-    cloud = segment_cloud()
-    with pytest.raises(ValueError):  # as numpy's SeedSequence
-        np.random.default_rng(-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        box_dimension(cloud, seed=-1)
-    for seed in (1.5, 7.0, "7", None):  # None no longer draws OS entropy
-        with pytest.raises(TypeError):
-            box_dimension(cloud, seed=seed)
-    for seed in (np.int64(7), np.uint64(2**63 + 5)):  # numpy integers, via operator.index
-        want = boxcount._offset_draws(int(seed))
-        assert [next(want) for _ in range(8)] == list(islice(boxcount._offset_draws(seed), 8))
 
 
 def test_duplicates_do_not_change_counts():

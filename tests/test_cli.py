@@ -4,10 +4,11 @@ from pathlib import Path
 
 import pytest
 
-from fiberdim import cli, orbits
+from fiberdim import ResolutionError, cli, orbits
 from fiberdim.cli import main
 
-HELP_GOLDEN = Path(__file__).resolve().parent / "golden" / "cli"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+HELP_GOLDEN = GOLDEN / "cli"
 COMMANDS = ("julia", "pressure", "dimension", "perturb", "motion", "verify")
 # each golden file's argv and exit code: the top-level and every subcommand's help,
 # an unknown command and none
@@ -274,6 +275,77 @@ def test_config_file_errors(tmp_path, capsys):
     capsys.readouterr()
     assert run(["pressure", "--config", str(tmp_path / "missing.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_config_file_inline_and_abbreviated_forms(tmp_path):
+    # argparse also parses --config=PATH and the abbreviation --conf PATH; either
+    # must reach the file, not be parsed and dropped
+    config = tmp_path / "run.cfg"
+    config.write_text("seq=const:50\nn=3:4\nt=0:0.2:3\n")
+    blobs = []
+    for form in (["--config", str(config)], [f"--config={config}"], ["--conf", str(config)]):
+        out = tmp_path / f"p{len(blobs)}.csv"
+        assert run(["pressure", *form, "-o", str(out)]) == 0, form
+        blobs.append(read(out))
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert len(blobs[0].splitlines()) == 1 + 2 * 3
+
+
+def test_config_file_given_twice_is_a_usage_error(tmp_path, capsys):
+    # only one file is read, so a second one is rejected, not dropped unread
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("seq=const:50\nn=3:4\nt=0:0.2:3\n")
+    second.write_text("n=5:6\n")
+    out = tmp_path / "p.csv"
+    for forms in ([f"--config={first}", "--config", str(second)],
+                  ["--config", str(first), f"--config={second}"]):
+        assert run(["pressure", *forms, "-o", str(out)]) == 2, forms
+        assert "error: --config given more than once" in capsys.readouterr().err
+        assert not out.exists()
+    # nor may a file name another
+    nested = tmp_path / "nested.cfg"
+    nested.write_text(f"seq=const:50\nconfig={second}\n")
+    assert run(["pressure", "--config", str(nested), "-o", str(out)]) == 2
+    assert "names another config file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "0"])
+def test_dimension_rejects_a_tol_that_is_not_finite_and_positive(tol, tmp_path, capsys):
+    out = tmp_path / "roots.csv"
+    assert run(["dimension", "--seq", "const:50", "--window", "4:6", "--tol", tol,
+                "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol must be finite and > 0\n")
+    assert captured.out == "" and not out.exists()
+
+
+def test_resolution_error_is_a_usage_error(monkeypatch, capsys):
+    # ResolutionError is a ValueError: exit 2 with the grammar, not an invariant failure
+    def too_fine(*args, **kwargs):
+        raise ResolutionError("scale 1e-16 below the cloud resolution bound 1e-15")
+
+    monkeypatch.setattr(cli, "_box_report", too_fine)
+    assert run(["dimension", "--seq", "const:50", "--window", "4:6", "--box-check",
+                "--box-depth", "12"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scale 1e-16 below the cloud resolution bound 1e-15\n")
+    assert "grammar" in err and "invariant failure" not in err
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("pressure_const50/pressure.csv", ["pressure", "--seq", "const:50", "--n", "2:6",
+                                       "--t", "0:0.4:3"]),
+    ("gap_const50/gap.csv", ["perturb", "--mode", "gap", "--base", "const:50",
+                             "--x=-0.05:0.05:3", "--window", "6:10", "--tol", "1e-3"]),
+])
+def test_pressure_and_gap_scan_golden(name, argv, tmp_path, capsys):
+    # stdout and CSV bytes of a pressure curve and a gap scan, frozen from earlier output
+    out = tmp_path / "out.csv"
+    assert run([*argv, "-o", str(out)]) == 0
+    want = GOLDEN / name
+    assert capsys.readouterr().out == (want.parent / "stdout.txt").read_text()
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_stdout_output(capsys):

@@ -408,7 +408,7 @@ def test_windowed_envelopes():
     mask = (curve.n_values >= 8) & (curve.n_values <= 12)
     assert np.array_equal(curve.lower, curve.values[mask].min(axis=0))
     assert np.array_equal(curve.upper, curve.values[mask].max(axis=0))
-    assert np.array_equal(curve.row(8), curve.values[4])
+    assert curve.n_values[4] == 8 and curve.values.shape == (9, 5)  # row 4 holds n = 8
 
 
 def test_anchor_dependence_shrinks():
@@ -507,6 +507,21 @@ def test_validation_errors():
         bowen_zero(CONST50, "lower", (4, 8), tol=0.0)
     with pytest.raises(UnreachableTolerance, match="below the float resolution"):
         bowen_zero(CONST50, "lower", (4, 6), tol=1e-20)
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-4, math.inf])
+def test_zero_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # unchecked, a NaN tol returns a root with residual 2.8e-3 and uncertainty nan
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        WindowPressure(CONST50, (4, 6)).zero("lower", tol)
+
+
+def test_zero_rejects_an_unknown_side():
+    # unchecked, "middle" returns the upper root labelled "middle", after evaluations
+    window = WindowPressure(CONST50, (4, 6))
+    with pytest.raises(ValueError, match="which must be 'lower' or 'upper'"):
+        window.zero("middle", 1e-4)
+    assert window.evaluations == 0
 
 
 def test_csv_formats():
