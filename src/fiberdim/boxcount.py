@@ -15,12 +15,16 @@ innermost levels contract below float spacing, and a depth-18 cloud of
 262,144 leaves holds only a few thousand distinct points.  The dimension
 check therefore passes the tree's distinct points (orbits.distinct_points),
 never the 2**depth leaves, and its 1000-point floor still counts the leaves
-(`leaves`): const:1000 at depth 18 has only 64 distinct points.  Those
-points arrive as [U, -U], each bit pattern once, with U sorted, so
-box_dimension's own dedupe (_distinct) meets two ordered runs, which its
-stable sort (timsort) merges.  Once sorted, the x box index of every grid is
-non-decreasing, so the stable sort of the occupancy keys runs on nearly
-ordered input.
+(`leaves`): const:1000 at depth 18 has only 64 distinct points.
+
+The sorted points split once into runs whose neighbours differ by at most a
+quarter of the smallest scale in Re and in Im, with exact corners (Re from a
+run's ends, Im from its min and max).  For eps > 0 the box index
+v -> floor((v - o) / eps) is nondecreasing in v, as rounded subtraction,
+rounded division by a positive number and floor each are, so a run whose
+corners share both indices lies in one box.  Only the runs that straddle a
+box edge are indexed point by point: at most 38 of the seed-7 depth-18
+cloud's 512 runs (5,986 points) at any of its 25 scales.
 """
 
 from __future__ import annotations
@@ -53,9 +57,9 @@ def _offset_draws():
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """The distinct values, sorted, by one stable sort (timsort for complex
-    values, fast on nearly ordered input) and a neighbour comparison: np.unique
-    in numpy 2.4 hashes complex values first, about five times slower."""
+    """The distinct values, sorted by Re then Im, by one stable sort (timsort
+    merges the ordered halves of a level [U, -U]) and a neighbour comparison:
+    np.unique in numpy 2.4 hashes complex values first, about five times slower."""
     values = np.sort(values, kind="stable")
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
@@ -67,22 +71,34 @@ class BoxCountReport(NamedTuple):
     residual: float  # rms of the least squares fit in log N
 
 
-def _occupancy(
-    points: np.ndarray,
-    eps: float,
-    offset: tuple[float, float],
-    key: np.ndarray,
-    scratch: np.ndarray,
-) -> int:
-    """Occupied boxes, computed in the caller's key (complex) and scratch (float) buffers."""
-    for part, index, off in zip((points.real, points.imag), (key.real, key.imag), offset):
-        np.subtract(part, off, out=scratch)
-        np.divide(scratch, eps, out=scratch)
-        np.floor(scratch, out=index)
+def _runs(pts: np.ndarray, gap: float):
+    """Runs of points sorted by Re, neighbours at most gap apart in Re and Im: their
+    (low, high) Re and Im as (2, 1, run) arrays, and the run of each point."""
+    step = np.diff(pts)
+    is_start = np.concatenate(([True], (step.real > gap) | (np.abs(step.imag) > gap)))
+    starts, x, y = np.flatnonzero(is_start), pts.real, pts.imag
+    corner_x = np.stack((x[starts], x[np.append(starts[1:], pts.size) - 1]))[:, None]
+    corner_y = np.stack((np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts)))
+    return corner_x, corner_y[:, None], np.cumsum(is_start) - 1
+
+
+def _grid_counts(pts: np.ndarray, runs, eps: float, offsets) -> np.ndarray:
+    """Occupied boxes of side eps in each grid, given as one (Re, Im) offset per row."""
+    corner_x, corner_y, run_of = runs
+    ox, oy = np.array(offsets, dtype=float).T[:, :, None]
+    ix, iy = np.floor((corner_x - ox) / eps), np.floor((corner_y - oy) / eps)
+    split = ((ix[0] != ix[1]) | (iy[0] != iy[1])).any(axis=0)  # in some grid
+    ix, iy = ix[0], iy[0]
+    if split.any():  # a whole run by its low corner, the others point by point
+        keep, inner = ~split, split[run_of]
+        ix = np.floor((np.concatenate((corner_x[0, 0, keep], pts.real[inner])) - ox) / eps)
+        iy = np.floor((np.concatenate((corner_y[0, 0, keep], pts.imag[inner])) - oy) / eps)
     # indices stay below 2**53 for eps >= 1e-15 and O(1) coordinates, so the
-    # complex key is collision-free
-    key.sort(kind="stable")
-    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+    # complex key is collision-free; -0.0 and 0.0 compare equal
+    key = np.empty(ix.shape, np.complex128)
+    key.real, key.imag = ix, iy
+    key.sort(axis=1, kind="stable")
+    return 1 + np.count_nonzero(key[:, 1:] != key[:, :-1], axis=1)
 
 
 def check_sample_size(size: int) -> None:
@@ -111,9 +127,11 @@ def box_dimension(
     draws = _offset_draws()
     pts = np.asarray(points, dtype=np.complex128).ravel()
     check_sample_size(pts.size if leaves is None else leaves)
-    if not np.isfinite(pts).all():
-        raise ValueError("points must be finite")
+    if not (pts.size and np.isfinite(pts).all()):
+        raise ValueError("points must be finite and not empty")
     ladder = np.sort(np.asarray(eps_ladder, dtype=float))[::-1]
+    if not np.all((ladder > 0.0) & np.isfinite(ladder)):
+        raise ValueError("scales must be finite and > 0")
     if ladder.size < 2 or ladder[0] / ladder[-1] < 100.0:
         raise ValueError("scale ladder must span at least two decades")
     floor = max(min_scale or 0.0, _FLOAT_SCALE_FLOOR)
@@ -123,14 +141,11 @@ def box_dimension(
         )
 
     pts = _distinct(pts)  # occupancy depends on the point set only
-    key, scratch = np.empty(pts.size, np.complex128), np.empty(pts.size)  # reused by every grid
+    runs = _runs(pts, ladder[-1] / 4.0)
     counts = np.empty(ladder.size)
     for i, eps in enumerate(ladder):
-        per_offset = [
-            _occupancy(pts, eps, (0.0 + eps * next(draws), 0.0 + eps * next(draws)), key, scratch)
-            for _ in range(offsets)
-        ]
-        counts[i] = float(np.mean(per_offset))
+        grids = [(0.0 + eps * next(draws), 0.0 + eps * next(draws)) for _ in range(offsets)]
+        counts[i] = np.mean(_grid_counts(pts, runs, eps, grids))
 
     log_inv_eps = np.log(1.0 / ladder)
     log_counts = np.log(counts)

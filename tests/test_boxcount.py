@@ -2,6 +2,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fiberdim import (
     Constant,
@@ -87,9 +89,21 @@ def test_input_validation():
         box_dimension(np.append(segment_cloud(), np.nan), ladder)
     with pytest.raises(ValueError):
         box_dimension(segment_cloud(), np.geomspace(0.5, 0.05, 5))  # one decade only
+    with pytest.raises(ValueError, match="not empty"):
+        box_dimension(np.array([], dtype=complex), ladder, leaves=1000)
     for offsets in (0, -1):  # np.mean of no counts would give NaN
         with pytest.raises(ValueError, match="grid offset"):
             box_dimension(segment_cloud(), ladder, offsets=offsets)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3, 0.0])
+def test_scales_must_be_finite_and_positive(bad, capfd):
+    # checked before the span (-1e-3 read as "two decades") and the resolution bound;
+    # NaN and inf reached np.polyfit, which printed LAPACK errors and raised LinAlgError
+    for ladder in (np.append(np.geomspace(0.4, 0.004, 11), bad), [bad]):
+        with pytest.raises(ValueError, match="scales must be finite and > 0"):
+            box_dimension(segment_cloud(), ladder, min_scale=1e-3)
+    assert capfd.readouterr().err == ""
 
 
 def test_cloud_ladder():
@@ -127,18 +141,81 @@ def test_box_dimension_matches_the_numpy_offset_oracle():
     assert got.residual == residual
 
 
-def test_occupancy_counts_signed_zero_indices_once_and_overwrites_its_buffers():
-    # -0.0 - 0.0 floors to box index -0.0 and 0.0 - 0.0 to 0.0: one box, not two
-    pts = np.array([complex(-0.0, 1.5), complex(0.0, 1.5), complex(1.5, -0.0), complex(1.5, 0.0)])
-    key, scratch = np.full(pts.size, np.nan + 1j), np.full(pts.size, np.nan)
-    assert boxcount._occupancy(pts, 1.0, (0.0, 0.0), key, scratch) == 2
+def test_grid_counts_count_signed_zero_indices_once_and_keep_no_state_between_grids():
+    # with a zero offset -0.0 floors to box index -0.0 and 0.0 to 0.0: one box, not two,
+    # both as corners of whole runs (gap < 0: each point a run) and point by point (gap
+    # 2.0: the first three points make one run that straddles the edge Im = 2)
+    pts = np.array([complex(-0.0, 1.5), complex(0.0, 1.5), complex(0.1, 2.5),
+                    complex(1.5, -0.0), complex(1.5, 0.0)])
+    for gap in (-1.0, 2.0):
+        runs = boxcount._runs(pts, gap)
+        assert boxcount._grid_counts(pts, runs, 1.0, [(0.0, 0.0)]).tolist() == [3]
     cloud = boxcount._distinct(julia_cloud(Constant(50), 10).points)
-    key, scratch = np.empty(cloud.size, np.complex128), np.empty(cloud.size)
-    for eps in (1e-2, 1e-4, 1e-2):  # the sorted keys of one grid do not leak into the next
-        offset = (0.3 * eps, 0.7 * eps)
-        assert boxcount._occupancy(cloud, eps, offset, key, scratch) == set_occupancy(
-            cloud, eps, offset
-        )
+    runs = boxcount._runs(cloud, 1e-4 / 4.0)
+    for eps in (1e-2, 1e-4, 1e-2):  # the keys of one scale do not leak into the next
+        grids = [(0.3 * eps, 0.7 * eps), (0.0, 0.0), (0.9 * eps, 0.1 * eps)]
+        want = [set_occupancy(cloud, eps, offset) for offset in grids]
+        assert boxcount._grid_counts(cloud, runs, eps, grids).tolist() == want
+
+
+@st.composite
+def _edge_clouds(draw):
+    """(points, run split gap, scales, grids per scale): the gap is a quarter of a
+    scale, as in box_dimension, and also a scale itself; the points sit on box
+    edges, on multiples of the gap, at signed zeros and on duplicates, with one
+    optional run whose Im rises and falls: a vertical segment when its Re step is 0."""
+    small = draw(st.sampled_from([1.0, 1.0 / 3.0, 0.1, 1e-3]))
+    gap = small / 4.0
+    scales = [100.0 * small, 10.0 * small, small, gap]
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    grids = [[(draw(st.sampled_from([0.0, eps * draw(unit)])),
+               draw(st.sampled_from([0.0, eps * draw(unit)]))) for _ in range(4)]
+             for eps in scales]
+    edges = [o + k * eps for eps, g in zip(scales, grids) for o in g[0] for k in (-2, -1, 0, 1)]
+    pool = edges + [j * gap for j in range(-6, 7)] + [-0.0, 0.0]
+    value = st.one_of(st.sampled_from(pool), st.floats(-1.0, 1.0))
+    points = draw(st.lists(st.tuples(value, value), min_size=1, max_size=40))
+    points += draw(st.lists(st.sampled_from(points), max_size=10))  # duplicates
+    if draw(st.booleans()):  # a tent: its Im extremes are not at its ends
+        x, y, dx = draw(value), draw(value), draw(st.sampled_from([0.0, gap / 2, gap]))
+        size = draw(st.integers(2, 30))
+        points += [(x + m * dx, y + min(m, size - m) * gap) for m in range(size)]
+    return [complex(x, y) for x, y in points], gap, scales, grids
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(_edge_clouds())
+@example(([complex(0.3, -0.7)], 0.25, [100.0, 10.0, 1.0, 0.25], [[(0.0, 0.0)] * 4] * 4))
+@example(([complex(-0.0, 0.25 * m) for m in range(-9, 9)], 0.25, [100.0, 10.0, 1.0, 0.25],
+          [[(0.0, 0.0), (-0.0, 0.5), (0.5, 0.0), (0.7, 0.7)]] * 4))
+def test_grid_counts_equal_the_set_oracle(case):
+    points, gap, scales, grids = case
+    raw = np.array(points, dtype=np.complex128)
+    pts = boxcount._distinct(raw)
+    runs = boxcount._runs(pts, gap)
+    for eps, offsets in zip(scales, grids):
+        want = [set_occupancy(raw, eps, offset) for offset in offsets]
+        assert boxcount._grid_counts(pts, runs, eps, offsets).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "spec,depth,anchor",
+    [
+        ("periodic:32.868743+45.751304i,60.882672+29.795897i", 18, 1.0 + 0.0j),  # seed 7
+        ("const:50", 14, -1.05 + 0.1j),
+        ("const:1000", 18, 1.0 + 0.0j),
+    ],
+)
+def test_distinct_cloud_box_dimension_matches_the_numpy_offset_oracle(spec, depth, anchor):
+    seq = parse_sequence(spec)
+    points = orbits.distinct_points(seq, depth, anchor)
+    resolution = resolution_bound(seq, depth)
+    ladder = cloud_ladder(resolution)
+    got = box_dimension(points, ladder, min_scale=resolution, leaves=2**depth)
+    counts, slope, residual = numpy_box_dimension(points, ladder)
+    assert np.array_equal(got.counts, counts)
+    assert got.slope == slope
+    assert got.residual == residual
 
 
 def test_duplicates_do_not_change_counts():
@@ -168,6 +245,24 @@ def test_dimension_box_check_golden(tmp_path, capsys):
     assert capsys.readouterr().out == (want / "stdout.txt").read_text()
     assert roots.read_bytes() == (want / "roots.csv").read_bytes()
     assert box.read_bytes() == (want / "box.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("dimension_periodic_seed7",  # the dimension benchmark at seed 7
+         ["--seq", "periodic:32.868743+45.751304i,60.882672+29.795897i", "--window", "14:22",
+          "--tol", "1e-10", "--box-depth", "18"]),
+        ("dimension_const50_offaxis",
+         ["--seq", "const:50", "--anchor=-1.05+0.1i", "--window", "8:10", "--box-depth", "16"]),
+    ],
+)
+def test_dimension_box_out_golden(tmp_path, capsys, golden, argv):
+    # stdout (the roots CSV) and the box CSV frozen from the per-point box count
+    box = tmp_path / "box.csv"
+    assert main(["dimension", *argv, "--box-check", "--box-out", str(box)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden / "stdout.txt").read_text()
+    assert box.read_bytes() == (GOLDEN / golden / "box.csv").read_bytes()
 
 
 def test_dimension_golden_roots_match_the_bisection_oracle():
