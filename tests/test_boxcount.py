@@ -2,8 +2,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from fiberdim import (
     Constant,
@@ -158,46 +156,6 @@ def test_grid_counts_count_signed_zero_indices_once_and_keep_no_state_between_gr
         assert boxcount._grid_counts(cloud, runs, eps, grids).tolist() == want
 
 
-@st.composite
-def _edge_clouds(draw):
-    """(points, run split gap, scales, grids per scale): the gap is a quarter of a
-    scale, as in box_dimension, and also a scale itself; the points sit on box
-    edges, on multiples of the gap, at signed zeros and on duplicates, with one
-    optional run whose Im rises and falls: a vertical segment when its Re step is 0."""
-    small = draw(st.sampled_from([1.0, 1.0 / 3.0, 0.1, 1e-3]))
-    gap = small / 4.0
-    scales = [100.0 * small, 10.0 * small, small, gap]
-    unit = st.floats(0.0, 1.0, exclude_max=True)
-    grids = [[(draw(st.sampled_from([0.0, eps * draw(unit)])),
-               draw(st.sampled_from([0.0, eps * draw(unit)]))) for _ in range(4)]
-             for eps in scales]
-    edges = [o + k * eps for eps, g in zip(scales, grids) for o in g[0] for k in (-2, -1, 0, 1)]
-    pool = edges + [j * gap for j in range(-6, 7)] + [-0.0, 0.0]
-    value = st.one_of(st.sampled_from(pool), st.floats(-1.0, 1.0))
-    points = draw(st.lists(st.tuples(value, value), min_size=1, max_size=40))
-    points += draw(st.lists(st.sampled_from(points), max_size=10))  # duplicates
-    if draw(st.booleans()):  # a tent: its Im extremes are not at its ends
-        x, y, dx = draw(value), draw(value), draw(st.sampled_from([0.0, gap / 2, gap]))
-        size = draw(st.integers(2, 30))
-        points += [(x + m * dx, y + min(m, size - m) * gap) for m in range(size)]
-    return [complex(x, y) for x, y in points], gap, scales, grids
-
-
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(_edge_clouds())
-@example(([complex(0.3, -0.7)], 0.25, [100.0, 10.0, 1.0, 0.25], [[(0.0, 0.0)] * 4] * 4))
-@example(([complex(-0.0, 0.25 * m) for m in range(-9, 9)], 0.25, [100.0, 10.0, 1.0, 0.25],
-          [[(0.0, 0.0), (-0.0, 0.5), (0.5, 0.0), (0.7, 0.7)]] * 4))
-def test_grid_counts_equal_the_set_oracle(case):
-    points, gap, scales, grids = case
-    raw = np.array(points, dtype=np.complex128)
-    pts = boxcount._distinct(raw)
-    runs = boxcount._runs(pts, gap)
-    for eps, offsets in zip(scales, grids):
-        want = [set_occupancy(raw, eps, offset) for offset in offsets]
-        assert boxcount._grid_counts(pts, runs, eps, offsets).tolist() == want
-
-
 @pytest.mark.parametrize(
     "spec,depth,anchor",
     [
@@ -236,33 +194,28 @@ def test_duplicates_do_not_change_counts():
     assert box_dimension(np.tile(distinct[:10], 100), np.geomspace(0.3, 1e-4, 9)).counts[0] >= 1
 
 
-def test_dimension_box_check_golden(tmp_path, capsys):
-    # stdout, roots CSV and box CSV frozen from the full-array box count
-    roots, box = tmp_path / "roots.csv", tmp_path / "box.csv"
-    assert main(["dimension", "--seq", "const:50", "--window", "8:12", "--box-check",
-                 "--box-depth", "14", "--box-out", str(box), "-o", str(roots)]) == 0
-    want = GOLDEN / "dimension_const50"
+_BOX_GOLDENS = {  # golden directory: dimension argv before --box-check
+    "dimension_const50": ["--seq", "const:50", "--window", "8:12", "--box-depth", "14"],
+    "dimension_periodic_seed7": [  # the dimension benchmark at seed 7
+        "--seq", "periodic:32.868743+45.751304i,60.882672+29.795897i", "--window", "14:22",
+        "--tol", "1e-10", "--box-depth", "18"],
+    "dimension_const50_offaxis": [
+        "--seq", "const:50", "--anchor=-1.05+0.1i", "--window", "8:10", "--box-depth", "16"],
+}
+
+
+@pytest.mark.parametrize("golden", list(_BOX_GOLDENS))
+def test_dimension_box_check_golden(tmp_path, capsys, golden):
+    # stdout, the roots CSV (-o, where the golden has one) and the box CSV, frozen
+    # from the full-array (dimension_const50) and the per-point box counts
+    want, roots, box = GOLDEN / golden, tmp_path / "roots.csv", tmp_path / "box.csv"
+    out = ["-o", str(roots)] if (want / "roots.csv").exists() else []
+    argv = ["dimension", *_BOX_GOLDENS[golden], "--box-check", "--box-out", str(box), *out]
+    assert main(argv) == 0
     assert capsys.readouterr().out == (want / "stdout.txt").read_text()
-    assert roots.read_bytes() == (want / "roots.csv").read_bytes()
+    if out:
+        assert roots.read_bytes() == (want / "roots.csv").read_bytes()
     assert box.read_bytes() == (want / "box.csv").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "golden,argv",
-    [
-        ("dimension_periodic_seed7",  # the dimension benchmark at seed 7
-         ["--seq", "periodic:32.868743+45.751304i,60.882672+29.795897i", "--window", "14:22",
-          "--tol", "1e-10", "--box-depth", "18"]),
-        ("dimension_const50_offaxis",
-         ["--seq", "const:50", "--anchor=-1.05+0.1i", "--window", "8:10", "--box-depth", "16"]),
-    ],
-)
-def test_dimension_box_out_golden(tmp_path, capsys, golden, argv):
-    # stdout (the roots CSV) and the box CSV frozen from the per-point box count
-    box = tmp_path / "box.csv"
-    assert main(["dimension", *argv, "--box-check", "--box-out", str(box)]) == 0
-    assert capsys.readouterr().out == (GOLDEN / golden / "stdout.txt").read_text()
-    assert box.read_bytes() == (GOLDEN / golden / "box.csv").read_bytes()
 
 
 def test_dimension_golden_roots_match_the_bisection_oracle():
